@@ -1,8 +1,8 @@
 """Command-line interface.
 
 stdout carries the machine-readable payload, stderr the diagnostics.
-Exit codes: 0 success, 2 input error, 3 ambiguous / rank-unstable /
-unknown outcomes.
+Exit codes: 0 success, 2 input error, 3 ambiguous / unsolved /
+rank-unstable outcomes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .bounds import (
     nonpath_lower_bound,
     phase_estimate,
 )
-from .closure import UnknownEdge, export_graph, max_f, pair_path_detail, validate_graph
+from .closure import export_graph, max_f, pair_path_detail, validate_graph
 from .congruence import AmbiguousNearBoundary
 from .families import orbit_class_from_json, orbit_class_to_json
 from .matcore import Complex2x2, complex_from_json, mat_from_json, pair_from_json
@@ -83,14 +83,9 @@ def cmd_dim(args):
 def cmd_path(args):
     src = _load_class(args.src)
     dst = _load_class(args.dst)
-    try:
-        verdict, reason = pair_path_detail(src, dst)
-    except UnknownEdge as e:
-        print("unknown")
-        print(str(e), file=sys.stderr)
-        return EXIT_UNDECIDED
+    verdict, reason = pair_path_detail(src, dst)
     print(json.dumps({"path": verdict, "condition": reason}))
-    return EXIT_OK if verdict != "unknown" else EXIT_UNDECIDED
+    return EXIT_OK
 
 
 def cmd_graph(args):

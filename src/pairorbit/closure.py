@@ -19,19 +19,15 @@ import numpy as np
 
 from .congruence import STAR_DIMS, StarClass, StarTag
 from .families import FAMILIES, OrbitClass, representative
-from .matcore import PairOrbitError, max_norm
+from .matcore import max_norm
 
 __all__ = [
-    "EdgeCondition", "UnknownEdge", "psi2_path", "psi1_path", "pair_path",
+    "EdgeCondition", "psi2_path", "psi1_path", "pair_path",
     "pair_path_detail", "max_f", "export_graph", "validate_graph",
     "pair_edges", "necessary_conditions_ok", "B_RANKS",
 ]
 
 _PTOL = 1e-12
-
-
-class UnknownEdge(PairOrbitError):
-    """The closure data does not determine this (src, dst) pair."""
 
 
 # B-rank of each family's representative (constant on the family).
@@ -253,15 +249,13 @@ def _m_bound_for(dst: OrbitClass) -> float:
 class EdgeCondition:
     """Evaluable edge predicate between two parameterized families."""
 
-    kind: str          # always | param_eq | interval | max_bound | never
+    kind: str          # always | param_eq | interval | max_bound
     text: str
     fn: object = None  # callable(src_params, dst_params) -> bool
 
     def evaluate(self, src: OrbitClass, dst: OrbitClass) -> bool:
         if self.kind == "always":
             return True
-        if self.kind == "never":
-            return False
         return bool(self.fn(src, dst))
 
 
@@ -457,7 +451,7 @@ def necessary_conditions_ok(src: OrbitClass, dst: OrbitClass,
 
 def pair_path_detail(src: OrbitClass, dst: OrbitClass):
     """Full evaluation: returns (verdict, explanation) with verdict one of
-    'true', 'false', 'unknown'."""
+    'true' or 'false'."""
     if src.key() == dst.key():
         same = src.close_to(dst, 1e-9)
         return ("true", "trivial path (same orbit)") if same else \
@@ -475,8 +469,6 @@ def pair_path_detail(src: OrbitClass, dst: OrbitClass):
 
 def pair_path(src: OrbitClass, dst: OrbitClass) -> bool:
     verdict, _ = pair_path_detail(src, dst)
-    if verdict == "unknown":
-        raise UnknownEdge(f"{src} -> {dst} undetermined")
     return verdict == "true"
 
 

@@ -5,6 +5,11 @@ A nonsingular A is sorted by the eigenstructure of its cosquare (A*)^{-1} A
 together with the values v* A v on cosquare eigenvectors, whose angular gap
 is the invariant that separates the unimodular families (the eigenvalues of
 the cosquare alone only determine that gap up to a half-angle ambiguity).
+
+Every reducer is closed form, built from cosquare eigenvectors (and, for a
+defective cosquare, a generalized eigenvector) as in the cosquare frames of
+Horn and Sergeichuk; no numeric solve runs, and the returned residual is
+the measured distance of the reduced matrix from the representative.
 """
 
 from __future__ import annotations
@@ -201,31 +206,6 @@ def _rank(m: np.ndarray, tol: float) -> int:
     return int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
 
 
-def _polish_star(A: np.ndarray, target: np.ndarray, c0: complex, P0: np.ndarray,
-                 iters: int = 60):
-    """Gauss-Newton polish of c P* A P = target over (arg c, P)."""
-    from scipy.optimize import least_squares
-
-    def pack(c, P):
-        return np.concatenate([[np.angle(c)], P.view(float).ravel()])
-
-    def unpack(x):
-        c = np.exp(1j * x[0])
-        P = x[1:].view(complex).reshape(2, 2)
-        return c, P
-
-    def residual(x):
-        c, P = unpack(x)
-        r = c * (P.conj().T @ A @ P) - target
-        return r.view(float).ravel()
-
-    sol = least_squares(residual, pack(c0, P0), method="trf",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=iters * 9)
-    c, P = unpack(sol.x)
-    res = float(np.sqrt(sol.cost * 2))
-    return c, P, res
-
-
 def classify_star(A: Complex2x2, tol: float = DEFAULT_TOL) -> StarReduction:
     """Classify A up to unit-scaled *-congruence with an explicit reducer.
 
@@ -250,11 +230,9 @@ def classify_star(A: Complex2x2, tol: float = DEFAULT_TOL) -> StarReduction:
     return _classify_rank2(m, tol, scale)
 
 
-def _finish(cls: StarClass, A: np.ndarray, c0, P0) -> StarReduction:
-    target = star_representative(cls).m
-    c, P, res = _polish_star(A, target, c0, P0)
+def _finish(cls: StarClass, A: np.ndarray, c, P) -> StarReduction:
     g = GroupElement(c / abs(c), P)
-    res = max_norm(act_star(g, Complex2x2(A)).m - target)
+    res = max_norm(act_star(g, Complex2x2(A)).m - star_representative(cls).m)
     return StarReduction(cls, g, res)
 
 
@@ -274,18 +252,18 @@ def _classify_rank1(m, tol, scale):
         # unitary sending u -> e1, then scale so c P* A P = diag(1, 0)
         Q = np.column_stack([u, np.array([-np.conj(u[1]), np.conj(u[0])])])
         lam = np.vdot(u, m @ u)
-        c0 = np.conj(lam) / abs(lam)
-        P0 = Q @ np.diag([1.0 / np.sqrt(abs(lam)), 1.0])
-        return _finish(cls, m, c0, P0)
+        c = np.conj(lam) / abs(lam)
+        P = Q @ np.diag([1.0 / np.sqrt(abs(lam)), 1.0])
+        return _finish(cls, m, c, P)
     cls = StarClass(StarTag.RANK1_NILPOTENT)
     # want c P* A P = e1 e2*: P* must send u -> e1-line and v -> e2-line,
     # so P = (M*)^{-1} for M = [u, v], then a column rescale.
     M = np.column_stack([u, v])
-    P0 = np.linalg.inv(M.conj().T)
-    val = (P0.conj().T @ m @ P0)[0, 1]
-    c0 = np.conj(val) / abs(val)
-    P0 = P0 @ np.diag([1.0, 1.0 / abs(val)])
-    return _finish(cls, m, c0, P0)
+    P = np.linalg.inv(M.conj().T)
+    val = (P.conj().T @ m @ P)[0, 1]
+    c = np.conj(val) / abs(val)
+    P = P @ np.diag([1.0, 1.0 / abs(val)])
+    return _finish(cls, m, c, P)
 
 
 def _angle_gap(q1: complex, q2: complex) -> float:
@@ -345,18 +323,16 @@ def _reduce_scalar_cosquare(m, lam, tol):
     if np.all(signs > 0) or np.all(signs < 0):
         cls = StarClass(StarTag.DEFINITE)
         flip = 1.0 if np.all(signs > 0) else -1.0
-        P0 = Q @ np.diag(1.0 / np.sqrt(np.abs(w)))
-        c0 = flip / nu
-        c0 = c0 / abs(c0)
+        P = Q @ np.diag(1.0 / np.sqrt(np.abs(w)))
+        c = flip / nu
     else:
         cls = StarClass(StarTag.INDEFINITE)
         order = np.argsort(-signs)  # positive eigenvalue first
         Q = Q[:, order]
         w = w[order]
-        P0 = Q @ np.diag(1.0 / np.sqrt(np.abs(w)))
-        c0 = 1.0 / nu
-        c0 = c0 / abs(c0)
-    return _finish(cls, m, c0, P0)
+        P = Q @ np.diag(1.0 / np.sqrt(np.abs(w)))
+        c = 1.0 / nu
+    return _finish(cls, m, c, P)
 
 
 def _reduce_unimodular(m, evals, vecs, tol):
@@ -374,9 +350,9 @@ def _reduce_unimodular(m, evals, vecs, tol):
             [StarTag.UNIMODULAR, StarTag.DEFINITE, StarTag.INDEFINITE])
     if gap >= np.pi - floor:
         # antipodal values: the indefinite family
-        P0 = np.column_stack([v1 / np.sqrt(abs(q1)), v2 / np.sqrt(abs(q2))])
-        c0 = np.conj(q1) / abs(q1)
-        return _finish(StarClass(StarTag.INDEFINITE), m, c0, P0)
+        P = np.column_stack([v1 / np.sqrt(abs(q1)), v2 / np.sqrt(abs(q2))])
+        c = np.conj(q1) / abs(q1)
+        return _finish(StarClass(StarTag.INDEFINITE), m, c, P)
     if gap >= np.pi - tol:
         raise AmbiguousNearBoundary(
             f"unimodular angle gap within tolerance of pi (theta = {gap})",
@@ -387,9 +363,9 @@ def _reduce_unimodular(m, evals, vecs, tol):
     theta = float(np.angle(q2 / q1))
     theta = min(max(theta, 10 * np.finfo(float).eps), np.pi - 10 * np.finfo(float).eps)
     cls = StarClass(StarTag.UNIMODULAR, theta=theta)
-    P0 = np.column_stack([v1 / np.sqrt(abs(q1)), v2 / np.sqrt(abs(q2))])
-    c0 = np.conj(q1) / abs(q1)
-    return _finish(cls, m, c0, P0)
+    P = np.column_stack([v1 / np.sqrt(abs(q1)), v2 / np.sqrt(abs(q2))])
+    c = np.conj(q1) / abs(q1)
+    return _finish(cls, m, c, P)
 
 
 def _reduce_reciprocal(m, evals, vecs, tau, tol):
@@ -416,16 +392,15 @@ def _reduce_reciprocal(m, evals, vecs, tau, tol):
     # => e^{2 i beta} = g21_ph / g12_ph.
     beta = 0.5 * np.angle(g21 / g12)
     b = babs * np.exp(1j * beta)
-    c0 = np.conj(np.conj(a) * b * g12)
-    c0 = c0 / abs(c0)
-    P0 = np.column_stack([a * v_small, b * v_large])
+    c = np.conj(np.conj(a) * b * g12)
+    P = np.column_stack([a * v_small, b * v_large])
     # the representative for this tau:
     cls = StarClass(StarTag.RECIPROCAL, tau=tau)
-    red = _finish(cls, m, c0, P0)
+    red = _finish(cls, m, c, P)
     if red.residual > np.sqrt(tol):
         # the eigenvector pairing may be swapped; retry with columns exchanged
-        P0b = np.column_stack([a * v_large, b * v_small])
-        red_b = _finish(cls, m, c0, P0b)
+        Pb = np.column_stack([a * v_large, b * v_small])
+        red_b = _finish(cls, m, c, Pb)
         if red_b.residual < red.residual:
             red = red_b
     return red
@@ -435,60 +410,23 @@ def _reduce_jordan(m, W, tol):
     """Reducer onto [[0,1],[1,i]] for defective cosquare.
 
     With c P* A P = Ji the cosquares satisfy W = (1/c^2) P W_Ji P^{-1}, so
-    the first column of P is a W-eigenvector, the second a generalized
-    eigenvector with (W - lam) p2 = 2 i lam p1, lam = 1/c^2.  The remaining
-    freedom (eigenvector scale gamma and shift s) is a 4-real-variable
-    square-ish solve.
+    the first column of P is a W-eigenvector v, the second a generalized
+    eigenvector g with (W - lam) g = 2 i lam v, lam = 1/c^2.  The remaining
+    freedom, a real scale gamma of (v, g) and a real shift g -> g + s v,
+    normalizes the (1,2) entry to 1 and the real part of the (2,2) entry
+    to 0.
     """
-    from scipy.optimize import least_squares
-
     lam = 0.5 * np.trace(W)
     lam = lam / abs(lam)
     N = W - lam * np.eye(2)
     _, _, vh = np.linalg.svd(N)
     v = vh[-1, :].conj()
     g0 = np.linalg.lstsq(N, 2j * lam * v, rcond=None)[0]
-    target = star_representative(StarClass(StarTag.JORDAN)).m
-    best = None
-
-    def residual_for(c):
-        def residual(x):
-            gamma = complex(x[0], x[1])
-            s = complex(x[2], x[3])
-            P = np.column_stack([gamma * v, gamma * g0 + s * v])
-            r = c * (P.conj().T @ m @ P) - target
-            return r.view(float).ravel()
-        return residual
-
-    signs = (1.0 / np.sqrt(lam), -1.0 / np.sqrt(lam))
-    for x0 in ([1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.3, -0.2],
-               [2.0, -1.0, -0.5, 0.5]):
-        for c in signs:
-            sol = least_squares(residual_for(c), x0, method="lm",
-                                max_nfev=250)
-            gamma = complex(sol.x[0], sol.x[1])
-            s = complex(sol.x[2], sol.x[3])
-            P = np.column_stack([gamma * v, gamma * g0 + s * v])
-            if abs(np.linalg.det(P)) < 1e-13 or sol.cost > 1e-18:
-                if best is None:
-                    best = (c, P if abs(np.linalg.det(P)) > 1e-13
-                            else np.eye(2), np.sqrt(2 * sol.cost))
-                continue
-            cc, PP, res = _polish_star(m, target, c, P)
-            if best is None or res < best[2]:
-                best = (cc, PP, res)
-            if best[2] <= 1e-12:
-                break
-        if best is not None and best[2] <= 1e-12:
-            break
-    if best is not None and best[2] > 1e-12:
-        # fall back to full polish from the best coarse solution
-        cc, PP, res = _polish_star(m, target, best[0], best[1])
-        if res < best[2]:
-            best = (cc, PP, res)
-    if best is None:
-        return _finish(StarClass(StarTag.JORDAN), m, 1.0, np.eye(2))
-    cc, PP, _ = best
-    g = GroupElement(cc / abs(cc), PP)
-    res = max_norm(act_star(g, Complex2x2(m)).m - target)
-    return StarReduction(StarClass(StarTag.JORDAN), g, res)
+    c = 1.0 / np.sqrt(lam)
+    k = c * np.vdot(v, m @ g0)
+    if k.real < 0:
+        c, k = -c, -k
+    gamma = abs(k) ** -0.5
+    s = -gamma * np.real(c * gamma ** 2 * np.vdot(g0, m @ g0)) / 2
+    P = np.column_stack([gamma * v, gamma * g0 + s * v])
+    return _finish(StarClass(StarTag.JORDAN), m, c, P)

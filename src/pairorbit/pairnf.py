@@ -7,8 +7,10 @@ representative.  Each stabilizer is a small explicit group (phases for the
 unimodular column, diag(x, v) with |xv| = 1 for the nilpotent column, a
 phase-and-shear for the Jordan column, U(1,1) for the indefinite column,
 U(2) for the definite one), and the family plus its parameters are decided
-from stabilizer invariants before any numeric solve.  A Gauss-Newton polish
-then produces a reducer with residual at machine scale.
+from stabilizer invariants before any numeric solve.  Both stages are
+constructive.  Only when the composed reducer misses the representative by
+more than 1e-10 does a numeric polish run: one structural Gauss-Newton
+solve, then one exactness solve against the fully pinned representative.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .congruence import StarTag, classify_star, classify_tcong, takagi
-from .families import FAMILIES, OrbitClass, representative
+from .congruence import StarTag, _sqrtm_2x2, classify_star, classify_tcong, takagi
+from .families import OrbitClass, representative
 from .matcore import (
     DEFAULT_TOL,
     GroupElement,
@@ -261,7 +263,6 @@ def _classify_b_semidef(B1, tol, scale):
         # b2 != 0, b3 = 0: u-shear kills b1, v scales b2 to 1 -> antidiag_1
         x = 1.0 + 0j
         u = -b1 / (2.0 * b2)
-        v = 1.0 / (b2 + u * 0)  # v fixed after shear; recompute below
         P2 = np.array([[x, 0.0], [u, 1.0]], dtype=complex)
         Bs = P2.T @ B1 @ P2
         v = 1.0 / Bs[0, 1]
@@ -469,14 +470,8 @@ def _reduce_indef_scalar(B1, cls):
     # target d * I2: P = sqrtm(B1 / d)^{-1} is symmetric, then polished
     d = float(np.real(cls.params["d"]))
     C = B1 / d
-    S = _sqrt_sym(C)
-    P = np.linalg.inv(S)
+    P = np.linalg.inv(_sqrtm_2x2(C))
     return cls, _gel(1.0, P)
-
-
-def _sqrt_sym(C):
-    evals, vecs = np.linalg.eig(C)
-    return vecs @ np.diag(np.sqrt(evals.astype(complex))) @ np.linalg.inv(vecs)
 
 
 def _reduce_indef_antidiag(B1, cls):
@@ -633,7 +628,6 @@ def _b_coords(B):
 
 def _structural_residual(pair, cls, A_nf):
     """Residual function pinning only the structurally fixed coordinates."""
-    spec = FAMILIES[cls.key()]
     free = set(_FREE_SLOTS[cls.b_form])
     if cls.key() == (StarTag.RECIPROCAL, "generic"):
         free = {2, 4, 5}          # off-diagonal real part free (b), zeta free
@@ -728,36 +722,23 @@ def _polish(pair, cls, g, tol):
             return cls0, g, r0
     except ValueError:
         pass
-    A_nf = representative(cls).A.m
-    fun = _structural_residual(pair, cls, A_nf)
-    best = None
-    x0 = _pack(g)
-    for attempt in range(8):
-        sol = least_squares(fun, x0, method="lm", max_nfev=400)
-        c, P = _unpack(sol.x)
-        if abs(np.linalg.det(P)) > 1e-12:
-            gg = GroupElement(c / abs(c), P)
-            Bf = P.T @ pair.B.m @ P
-            Bf = 0.5 * (Bf + Bf.T)
-            try:
-                cls2 = _extract_params(cls, Bf, tol)
-            except ValueError:
-                cls2 = None
-            if cls2 is not None:
-                # final exactness polish against the fully pinned target
-                gg, res = _full_polish(pair, cls2, gg)
-                if best is None or res < best[2]:
-                    best = (cls2, gg, res)
-                if res <= max(tol, 1e-10) * 10:
-                    return best
-        rng = np.random.default_rng(1000 + attempt)
-        dx = 0.25 * rng.standard_normal(x0.shape)
-        x0 = _pack(g) + dx
-    if best is None or best[2] > _RESIDUAL_FAIL:
-        raise StabilizerSolveFailed(
-            f"B normalization stalled for family {cls.key()}",
-            np.inf if best is None else best[2])
-    return best
+    # fallback: one structural solve, then one fully pinned exactness polish
+    fun = _structural_residual(pair, cls, representative(cls).A.m)
+    sol = least_squares(fun, _pack(g), method="lm", max_nfev=400)
+    c, P = _unpack(sol.x)
+    res = np.inf
+    if abs(np.linalg.det(P)) > 1e-12:
+        Bf = P.T @ pair.B.m @ P
+        try:
+            cls2 = _extract_params(cls, 0.5 * (Bf + Bf.T), tol)
+        except ValueError:
+            cls2 = None
+        if cls2 is not None:
+            gg, res = _full_polish(pair, cls2, GroupElement(c / abs(c), P))
+            if res <= _RESIDUAL_FAIL:
+                return cls2, gg, res
+    raise StabilizerSolveFailed(
+        f"B normalization stalled for family {cls.key()}", res)
 
 
 def _full_polish(pair, cls, g):

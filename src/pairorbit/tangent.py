@@ -71,9 +71,7 @@ def tangent_frame(p: MatrixPair) -> TangentFrame:
             Ekj, Ejk = _unit(k, j), _unit(j, k)
             rows.append(embed_pair(1j * (-Ekj @ A + A @ Ejk),
                                    1j * (Ekj @ B + B @ Ejk)))
-    # reorder so v's come before u's but keep (j,k) = 11,12,21,22 order
-    order = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
-    return TangentFrame(np.vstack(rows)[order])
+    return TangentFrame(np.vstack(rows))
 
 
 def orbit_dimension(p: MatrixPair, tol: float = DEFAULT_TOL) -> int:

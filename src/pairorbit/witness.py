@@ -23,6 +23,7 @@ from .families import FAMILIES, OrbitClass, representative
 from .matcore import (
     GroupElement,
     MatrixPair,
+    PairOrbitError,
     Sym2x2,
     act_pair,
     compose,
@@ -30,6 +31,7 @@ from .matcore import (
     max_norm,
     pair_distance,
 )
+from .pairnf import _QJH
 
 __all__ = ["WitnessFamily", "ConvergenceReport", "DivergenceDetected",
            "PerturbReport", "witness_catalog", "verify_witness",
@@ -44,7 +46,6 @@ U = StarTag.UNIMODULAR
 R = StarTag.RECIPROCAL
 J = StarTag.JORDAN
 
-_QJH = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
 _G_JH = GroupElement(1.0, _QJH)  # maps diag(1,-1)-pairs to [[0,1],[1,0]]-pairs
 
 
@@ -603,7 +604,7 @@ def _autotune(entry: WitnessFamily) -> WitnessFamily | None:
         cand = entry if k == 1.0 else _reparam(entry, k)
         try:
             rep = verify_witness(cand, _SWEEP, tol=1e-7, strict=False)
-        except Exception:
+        except PairOrbitError:
             continue
         if rep.passed:
             return cand
@@ -672,14 +673,13 @@ class PerturbReport:
     histogram: dict
     violations: list
     unresolved: int
-    unknown: int = 0
 
     def to_json(self):
         return {"source": str(self.source), "eps": self.eps,
                 "samples": self.samples,
                 "histogram": {k: v for k, v in sorted(self.histogram.items())},
                 "violations": self.violations,
-                "unresolved": self.unresolved, "unknown": self.unknown}
+                "unresolved": self.unresolved}
 
 
 def _disc_sample(rng, eps):
@@ -766,7 +766,7 @@ def perturb_experiment(cls: OrbitClass, eps: float, n: int,
         pert = MatrixPair.of(rep.A.m + Em, Sym2x2.symmetrize(rep.B.m + Fm))
         try:
             got = classify_pair(pert)
-        except Exception:
+        except PairOrbitError:
             unresolved += 1
             continue
         key = f"{got.cls.a_family}|{got.cls.b_form}"

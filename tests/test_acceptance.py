@@ -5,6 +5,7 @@ lines and timings.
 """
 
 import time
+import zlib
 
 import numpy as np
 
@@ -52,9 +53,9 @@ def test_criterion_2_round_trip_classification():
     for key, spec in FAMILIES.items():
         cls = sample_params(spec, n=1)[0]
         rep = representative(cls)
+        key_seed = zlib.crc32(repr(key).encode()) % 97
         for seed in range(100):
-            p = act_pair(sample_group(seed + 1000 * (hash(key) % 97),
-                                      spread=1.0), rep)
+            p = act_pair(sample_group(seed + 1000 * key_seed, spread=1.0), rep)
             try:
                 out = classify_pair(p)
             except Exception as e:
@@ -210,8 +211,8 @@ def test_criterion_8_perturbation_lab():
     for key, spec in FAMILIES.items():
         cls = sample_params(spec, n=1)[0]
         for eps in (1e-3, 1e-5):
-            rep = perturb_experiment(cls, eps, 1000,
-                                     seed=hash((key, eps)) % 10_000)
+            seed = zlib.crc32(repr((key, eps)).encode()) % 10_000
+            rep = perturb_experiment(cls, eps, 1000, seed=seed)
             if rep.violations:
                 bad.append((str(cls), eps, rep.violations[:2]))
             unresolved_frac.append(rep.unresolved / rep.samples)

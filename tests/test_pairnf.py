@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,8 @@ from pairorbit.families import (
 from pairorbit.matcore import (
     GroupElement,
     MatrixPair,
+    PairOrbitError,
+    Sym2x2,
     act_pair,
     group_inverse,
     pair_distance,
@@ -93,13 +100,49 @@ def test_reducer_maps_onto_representative():
                          representative(out.cls)) <= out.residual + 1e-12
 
 
+def test_sample_params_same_in_every_process():
+    code = ("from pairorbit.families import FAMILIES, sample_params\n"
+            "for spec in FAMILIES.values():\n"
+            "    for c in sample_params(spec):\n"
+            "        print(c.key(), sorted(c.params.items()))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0].count("\n") == 5 * len(FAMILIES)
+    assert outs[0] == outs[1]
+
+
 def test_dim_matches_tangent_module():
     for key, spec in FAMILIES.items():
         cls = sample_params(spec, n=1)[0]
         rep = representative(cls)
-        p = act_pair(sample_group(hash(key) % 1000), rep)
+        seed = zlib.crc32(repr(key).encode()) % 1000
+        p = act_pair(sample_group(seed), rep)
         out = classify_pair(p)
         assert out.cls.dim == orbit_dimension(p)
+
+
+def test_near_scalar_cosquare_raises_typed_error():
+    # the one sample of perturb_experiment((indefinite|zero), 1e-3, 1,
+    # seed=1014078877): its cosquare is near scalar, the A stage reads it as
+    # Jordan, and the Jordan column cannot normalize its B
+    E = np.array([[-4.849206394948673e-05 - 0.0008720805529094684j,
+                   0.0003418082977657986 + 0.0004384159217707383j],
+                  [0.0003630591250895343 - 0.00021151401826263554j,
+                   -0.0004496834725468542 + 0.000643611341275045j]])
+    f11 = -0.00035999182449010064 + 0.000864602779538355j
+    f12 = -0.0005880279253799822 - 0.0002972115170519883j
+    f22 = -0.0009507299041735962 - 0.00010260255067388378j
+    rep = representative(family_of(T.INDEFINITE, "zero"))
+    p = MatrixPair.of(rep.A.m + E, Sym2x2.symmetrize(
+        rep.B.m + np.array([[f11, f12], [f12, f22]])))
+    with pytest.raises(PairOrbitError):
+        classify_pair(p)
 
 
 def test_orbit_equal():
