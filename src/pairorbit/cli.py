@@ -105,7 +105,10 @@ def cmd_maxf(args):
             else complex_from_json(args.d)
     except (ValueError, json.JSONDecodeError) as e:
         return _input_error(f"bad d: {e}")
-    M = max_f(args.a, args.b, d, args.theta, args.tol)
+    try:
+        M = max_f(args.a, args.b, d, args.theta, args.tol)
+    except ValueError as e:
+        return _input_error(str(e))
     print(f"{M:.6f}")
     return EXIT_OK
 

@@ -24,44 +24,16 @@ from .matcore import max_norm
 __all__ = [
     "EdgeCondition", "psi2_path", "psi1_path", "pair_path",
     "pair_path_detail", "max_f", "export_graph", "validate_graph",
-    "pair_edges", "necessary_conditions_ok", "B_RANKS",
+    "pair_edges", "necessary_conditions_ok",
 ]
 
 _PTOL = 1e-12
 
 
-# B-rank of each family's representative (constant on the family).
-B_RANKS = {
-    ("zero", "zero"): 0, ("zero", "rank1"): 1, ("zero", "full"): 2,
-    ("rank1_semidef", "zero"): 0, ("rank1_semidef", "a_plus_0"): 1,
-    ("rank1_semidef", "zero_plus_1"): 1, ("rank1_semidef", "antidiag_1"): 2,
-    ("rank1_semidef", "a_plus_1"): 2,
-    ("rank1_nilpotent", "zero"): 0, ("rank1_nilpotent", "antidiag_b"): 2,
-    ("rank1_nilpotent", "one_plus_0"): 1, ("rank1_nilpotent", "zero_plus_1"): 1,
-    ("rank1_nilpotent", "a_plus_1"): 2, ("rank1_nilpotent", "zeta_b_1"): -1,
-    ("rank1_nilpotent", "one_b_0"): 2,
-    ("definite", "zero"): 0, ("definite", "d0_plus_d"): -1,
-    ("definite", "a_lt_d"): 2,
-    ("indefinite", "zero"): 0, ("indefinite", "d0_plus_d"): -1,
-    ("indefinite", "antidiag_b"): 2, ("indefinite", "a_lt_d"): 2,
-    ("indefinite", "h_one_plus_0"): 1, ("indefinite", "h_zero_b_1"): 2,
-    ("indefinite", "h_one_plus_de"): 2,
-    ("unimodular", "zero"): 0, ("unimodular", "a_plus_0"): 1,
-    ("unimodular", "zero_plus_d"): 1, ("unimodular", "antidiag_b"): 2,
-    ("unimodular", "a_b_0"): 2, ("unimodular", "zero_b_d"): 2,
-    ("unimodular", "generic"): -1,
-    ("reciprocal", "zero"): 0, ("reciprocal", "antidiag_b"): 2,
-    ("reciprocal", "one_plus_zeta"): -1, ("reciprocal", "zero_plus_1"): 1,
-    ("reciprocal", "generic"): -1, ("reciprocal", "zero_b_eiphi"): 2,
-    ("jordan", "zero"): 0, ("jordan", "zero_plus_d"): 1,
-    ("jordan", "antidiag_b"): 2, ("jordan", "a_plus_zeta"): -1,
-}
-
-
 def b_rank(cls: OrbitClass, rtol: float = 1e-9) -> int:
     """B rank of the family member, decided from the parameters (which keep
     full precision even when the assembled matrix is badly scaled)."""
-    r = B_RANKS[cls.key()]
+    r = FAMILIES[cls.key()].b_rank
     if r >= 0:
         return r
     p = {k: complex(v) for k, v in cls.params.items()}
@@ -141,25 +113,45 @@ def psi1_path(src: StarClass, dst: StarClass) -> bool:
 # the constrained maximum M of |a r^2 e^{i b} + 2 b r t + d t^2 e^{-i b}|
 # ---------------------------------------------------------------------------
 
-def _beta_max(u: float, w: float, v: complex) -> float:
-    """max over beta of |u e^{i beta} + w + v e^{-i beta}|, u, w >= 0 real."""
+def _beta_max(u, w, v):
+    """Row-wise max over beta of |u e^{i beta} + w + v e^{-i beta}|.
+
+    u, w >= 0 are real arrays and v a complex array, all of one shape.  The
+    critical points z = e^{i beta} solve 2 Y z^4 + w X z^3 - w conj(X) z
+    - 2 conj(Y) = 0 with X = u + conj(v), Y = u conj(v).  Rows where the
+    z^4 term counts take its roots from one batched eigensolve of the
+    companion matrices.  Rows with Y = 0 (u = 0 or v = 0), or with
+    2 |Y| <= eps w |X|, where the z^4 term moves the two critical points by
+    less than rounding, take the closed form z^2 = conj(X)/X.  The maximum
+    runs over these roots, projected onto the unit circle, and z = +-1, +-i.
+    Companion entries are built from moduli and phases, never by a complex
+    division, so that subnormal Y raises no overflow.
+    """
+    u, w, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(w, float),
+                                  np.asarray(v, complex))
     X = u + np.conj(v)
     Y = u * np.conj(v)
-    best = 0.0
-    # critical points: 2 Y z^4 + w X z^3 - w conj(X) z - 2 conj(Y) = 0, z on S^1
-    coeffs = np.array([2.0 * Y, w * X, 0.0, -w * np.conj(X), -2.0 * np.conj(Y)])
-    nz = np.nonzero(np.abs(coeffs) > 0)[0]
-    cands = [1.0 + 0j, -1.0 + 0j, 1j, -1j]
-    if len(nz) and nz[0] < 4:
-        roots = np.roots(coeffs[nz[0]:])
-        for z in roots:
-            if abs(z) > 1e-12:
-                cands.append(z / abs(z))
-    for z in cands:
-        val = abs(u * z + w + v / z)
-        if val > best:
-            best = val
-    return best
+    aX, aY = np.abs(X), np.abs(Y)
+    z = np.empty(u.shape + (8,), complex)
+    z[...] = [1.0, -1.0, 1j, -1j, 1.0, 1.0, 1.0, 1.0]
+    quartic = 2.0 * aY > np.finfo(float).eps * w * aX
+    # monic quartic: z^4 + k e^{i(pX - pY)} z^3 - k e^{-i(pX + pY)} z
+    # - e^{-2i pY}, with k = w |X| / (2 |Y|) and pX, pY the phases of X, Y
+    k = w[quartic] * aX[quartic] / (2.0 * aY[quartic])
+    pX, pY = np.angle(X[quartic]), np.angle(Y[quartic])
+    comp = np.zeros(k.shape + (4, 4), complex)
+    comp[:, 0, 0] = -k * np.exp(1j * (pX - pY))
+    comp[:, 0, 2] = k * np.exp(-1j * (pX + pY))
+    comp[:, 0, 3] = np.exp(-2j * pY)
+    comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
+    z[quartic, 4:] = np.linalg.eigvals(comp)
+    square = ~quartic & (aX > 0)
+    z[square, 4] = np.exp(-1j * np.angle(X[square]))
+    z[square, 5] = -z[square, 4]
+    r = np.abs(z)
+    z = np.where(r > 1e-12, z / np.maximum(r, 1e-12), 1.0)
+    return np.max(np.abs(u[..., None] * z + w[..., None] + v[..., None] / z),
+                  axis=-1)
 
 
 def max_f(a: float, b: float, d: complex, theta: float,
@@ -168,14 +160,23 @@ def max_f(a: float, b: float, d: complex, theta: float,
     + d t^2 e^{-i beta}| subject to r^4 + 2 r^2 t^2 cos(theta) + t^4 = 1.
 
     The feasible (R, T) = (r^2, t^2) arc is parametrized by the direction
-    angle xi in [0, pi/2]; the inner beta-maximum is exact (quartic critical
-    points), the outer arc maximum is a dense scan refined by golden section.
+    angle xi in [0, pi/2], and h(xi) is the exact inner beta-maximum
+    (`_beta_max`).  h is evaluated on a 600-point xi grid in one batched
+    call; the brackets around its 4 largest grid values are then refined by
+    golden section side by side, one batched h call on 4 points per step.
+    A bracket stops once its width in xi is at most tol / 10, or once it
+    no longer shrinks in floating point.  a, b and d must be finite, and
+    tol must be positive.
     """
+    d = complex(d)
+    if not np.all(np.isfinite([a, b, d])):
+        raise ValueError("a, b and d must be finite")
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
     if not (0.0 <= theta < np.pi):
         raise ValueError("theta must lie in [0, pi)")
-    d = complex(d)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     ct = np.cos(theta)
 
     def h(xi):
@@ -186,27 +187,28 @@ def max_f(a: float, b: float, d: complex, theta: float,
 
     n = 600
     xs = np.linspace(0.0, np.pi / 2.0, n)
-    vals = np.array([h(x) for x in xs])
-    best = float(np.max(vals))
-    order = np.argsort(vals)[::-1][:4]
+    vals = h(xs)
+    top = np.argsort(vals)[::-1][:4]
+    lo = xs[np.maximum(top - 1, 0)]
+    hi = xs[np.minimum(top + 1, n - 1)]
     gr = 0.5 * (np.sqrt(5.0) - 1.0)
-    for i in order:
-        lo = xs[max(int(i) - 1, 0)]
-        hi = xs[min(int(i) + 1, n - 1)]
-        x1 = hi - gr * (hi - lo)
-        x2 = lo + gr * (hi - lo)
-        f1, f2 = h(x1), h(x2)
-        while hi - lo > tol / 10.0:
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + gr * (hi - lo)
-                f2 = h(x2)
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - gr * (hi - lo)
-                f1 = h(x1)
-        best = max(best, f1, f2)
-    return best
+    x1 = hi - gr * (hi - lo)
+    x2 = lo + gr * (hi - lo)
+    f1, f2 = np.split(h(np.concatenate([x1, x2])), 2)
+    live = hi - lo > tol / 10.0
+    while live.any():
+        i = np.flatnonzero(live)
+        width = hi[i] - lo[i]
+        up = f1[i] < f2[i]
+        j, k = i[up], i[~up]
+        lo[j], x1[j], f1[j] = x1[j], x2[j], f2[j]
+        x2[j] = lo[j] + gr * (hi[j] - lo[j])
+        hi[k], x2[k], f2[k] = x2[k], x1[k], f1[k]
+        x1[k] = hi[k] - gr * (hi[k] - lo[k])
+        f2[j], f1[k] = np.split(h(np.concatenate([x2[j], x1[k]])), [len(j)])
+        shrunk = hi[i] - lo[i]
+        live[i] = (shrunk > tol / 10.0) & (shrunk < width)
+    return float(max(np.max(vals), np.max(f1), np.max(f2)))
 
 
 def _m_bound_for(dst: OrbitClass) -> float:

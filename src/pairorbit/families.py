@@ -34,67 +34,70 @@ class FamilySpec:
     a_family: str
     b_form: str
     dim: int
+    # B rank of the representative, constant on the family; -1 where it
+    # depends on the parameters (closure.b_rank decides those)
+    b_rank: int
     b_params: tuple
-    # builder(params) -> 2x2 complex symmetric ndarray
+
     def key(self):
         return (self.a_family, self.b_form)
 
 
-def _mk(a, b, dim, params):
-    return FamilySpec(a, b, dim, params)
+def _mk(a, b, dim, b_rank, params):
+    return FamilySpec(a, b, dim, b_rank, params)
 
 
 _F = [
     # a_family zero
-    _mk(StarTag.ZERO, "zero", 0, ()),
-    _mk(StarTag.ZERO, "rank1", 4, ()),
-    _mk(StarTag.ZERO, "full", 6, ()),
+    _mk(StarTag.ZERO, "zero", 0, 0, ()),
+    _mk(StarTag.ZERO, "rank1", 4, 1, ()),
+    _mk(StarTag.ZERO, "full", 6, 2, ()),
     # a_family rank1_semidef  (A = diag(1, 0))
-    _mk(StarTag.RANK1_SEMIDEF, "zero", 4, ()),
-    _mk(StarTag.RANK1_SEMIDEF, "a_plus_0", 5, ("a",)),
-    _mk(StarTag.RANK1_SEMIDEF, "zero_plus_1", 8, ()),
-    _mk(StarTag.RANK1_SEMIDEF, "antidiag_1", 8, ()),
-    _mk(StarTag.RANK1_SEMIDEF, "a_plus_1", 9, ("a",)),
+    _mk(StarTag.RANK1_SEMIDEF, "zero", 4, 0, ()),
+    _mk(StarTag.RANK1_SEMIDEF, "a_plus_0", 5, 1, ("a",)),
+    _mk(StarTag.RANK1_SEMIDEF, "zero_plus_1", 8, 1, ()),
+    _mk(StarTag.RANK1_SEMIDEF, "antidiag_1", 8, 2, ()),
+    _mk(StarTag.RANK1_SEMIDEF, "a_plus_1", 9, 2, ("a",)),
     # a_family rank1_nilpotent  (A = [[0,1],[0,0]])
-    _mk(StarTag.RANK1_NILPOTENT, "zero", 6, ()),
-    _mk(StarTag.RANK1_NILPOTENT, "antidiag_b", 7, ("b",)),
-    _mk(StarTag.RANK1_NILPOTENT, "one_plus_0", 8, ()),
-    _mk(StarTag.RANK1_NILPOTENT, "zero_plus_1", 8, ()),
-    _mk(StarTag.RANK1_NILPOTENT, "a_plus_1", 9, ("a",)),
-    _mk(StarTag.RANK1_NILPOTENT, "zeta_b_1", 9, ("zeta", "b")),
-    _mk(StarTag.RANK1_NILPOTENT, "one_b_0", 9, ("b",)),
+    _mk(StarTag.RANK1_NILPOTENT, "zero", 6, 0, ()),
+    _mk(StarTag.RANK1_NILPOTENT, "antidiag_b", 7, 2, ("b",)),
+    _mk(StarTag.RANK1_NILPOTENT, "one_plus_0", 8, 1, ()),
+    _mk(StarTag.RANK1_NILPOTENT, "zero_plus_1", 8, 1, ()),
+    _mk(StarTag.RANK1_NILPOTENT, "a_plus_1", 9, 2, ("a",)),
+    _mk(StarTag.RANK1_NILPOTENT, "zeta_b_1", 9, -1, ("zeta", "b")),
+    _mk(StarTag.RANK1_NILPOTENT, "one_b_0", 9, 2, ("b",)),
     # a_family definite  (A = I2)
-    _mk(StarTag.DEFINITE, "zero", 5, ()),
-    _mk(StarTag.DEFINITE, "d0_plus_d", 8, ("d0", "d")),
-    _mk(StarTag.DEFINITE, "a_lt_d", 9, ("a", "d")),
+    _mk(StarTag.DEFINITE, "zero", 5, 0, ()),
+    _mk(StarTag.DEFINITE, "d0_plus_d", 8, -1, ("d0", "d")),
+    _mk(StarTag.DEFINITE, "a_lt_d", 9, 2, ("a", "d")),
     # a_family indefinite  (A = diag(1,-1) or [[0,1],[1,0]])
-    _mk(StarTag.INDEFINITE, "zero", 5, ()),
-    _mk(StarTag.INDEFINITE, "d0_plus_d", 8, ("d0", "d")),
-    _mk(StarTag.INDEFINITE, "antidiag_b", 8, ("b",)),
-    _mk(StarTag.INDEFINITE, "a_lt_d", 9, ("a", "d")),
-    _mk(StarTag.INDEFINITE, "h_one_plus_0", 8, ()),
-    _mk(StarTag.INDEFINITE, "h_zero_b_1", 9, ("b",)),
-    _mk(StarTag.INDEFINITE, "h_one_plus_de", 9, ("d", "theta")),
+    _mk(StarTag.INDEFINITE, "zero", 5, 0, ()),
+    _mk(StarTag.INDEFINITE, "d0_plus_d", 8, -1, ("d0", "d")),
+    _mk(StarTag.INDEFINITE, "antidiag_b", 8, 2, ("b",)),
+    _mk(StarTag.INDEFINITE, "a_lt_d", 9, 2, ("a", "d")),
+    _mk(StarTag.INDEFINITE, "h_one_plus_0", 8, 1, ()),
+    _mk(StarTag.INDEFINITE, "h_zero_b_1", 9, 2, ("b",)),
+    _mk(StarTag.INDEFINITE, "h_one_plus_de", 9, 2, ("d", "theta")),
     # a_family unimodular  (A = diag(1, e^{i theta}))
-    _mk(StarTag.UNIMODULAR, "zero", 7, ("theta",)),
-    _mk(StarTag.UNIMODULAR, "a_plus_0", 8, ("theta", "a")),
-    _mk(StarTag.UNIMODULAR, "zero_plus_d", 8, ("theta", "d")),
-    _mk(StarTag.UNIMODULAR, "antidiag_b", 8, ("theta", "b")),
-    _mk(StarTag.UNIMODULAR, "a_b_0", 9, ("theta", "a", "b")),
-    _mk(StarTag.UNIMODULAR, "zero_b_d", 9, ("theta", "b", "d")),
-    _mk(StarTag.UNIMODULAR, "generic", 9, ("theta", "a", "r", "phi", "d")),
+    _mk(StarTag.UNIMODULAR, "zero", 7, 0, ("theta",)),
+    _mk(StarTag.UNIMODULAR, "a_plus_0", 8, 1, ("theta", "a")),
+    _mk(StarTag.UNIMODULAR, "zero_plus_d", 8, 1, ("theta", "d")),
+    _mk(StarTag.UNIMODULAR, "antidiag_b", 8, 2, ("theta", "b")),
+    _mk(StarTag.UNIMODULAR, "a_b_0", 9, 2, ("theta", "a", "b")),
+    _mk(StarTag.UNIMODULAR, "zero_b_d", 9, 2, ("theta", "b", "d")),
+    _mk(StarTag.UNIMODULAR, "generic", 9, -1, ("theta", "a", "r", "phi", "d")),
     # a_family reciprocal  (A = [[0,1],[tau,0]])
-    _mk(StarTag.RECIPROCAL, "zero", 7, ("tau",)),
-    _mk(StarTag.RECIPROCAL, "antidiag_b", 8, ("tau", "b")),
-    _mk(StarTag.RECIPROCAL, "one_plus_zeta", 9, ("tau", "zeta")),
-    _mk(StarTag.RECIPROCAL, "zero_plus_1", 9, ("tau",)),
-    _mk(StarTag.RECIPROCAL, "generic", 9, ("tau", "phi", "b", "zeta")),
-    _mk(StarTag.RECIPROCAL, "zero_b_eiphi", 9, ("tau", "b", "phi")),
+    _mk(StarTag.RECIPROCAL, "zero", 7, 0, ("tau",)),
+    _mk(StarTag.RECIPROCAL, "antidiag_b", 8, 2, ("tau", "b")),
+    _mk(StarTag.RECIPROCAL, "one_plus_zeta", 9, -1, ("tau", "zeta")),
+    _mk(StarTag.RECIPROCAL, "zero_plus_1", 9, 1, ("tau",)),
+    _mk(StarTag.RECIPROCAL, "generic", 9, -1, ("tau", "phi", "b", "zeta")),
+    _mk(StarTag.RECIPROCAL, "zero_b_eiphi", 9, 2, ("tau", "b", "phi")),
     # a_family jordan  (A = [[0,1],[1,i]])
-    _mk(StarTag.JORDAN, "zero", 7, ()),
-    _mk(StarTag.JORDAN, "zero_plus_d", 8, ("d",)),
-    _mk(StarTag.JORDAN, "antidiag_b", 9, ("b",)),
-    _mk(StarTag.JORDAN, "a_plus_zeta", 9, ("a", "zeta")),
+    _mk(StarTag.JORDAN, "zero", 7, 0, ()),
+    _mk(StarTag.JORDAN, "zero_plus_d", 8, 1, ("d",)),
+    _mk(StarTag.JORDAN, "antidiag_b", 9, 2, ("b",)),
+    _mk(StarTag.JORDAN, "a_plus_zeta", 9, -1, ("a", "zeta")),
 ]
 
 FAMILIES = {(f.a_family, f.b_form): f for f in _F}

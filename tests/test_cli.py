@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pairorbit.cli import main
 
 
@@ -41,6 +43,18 @@ def test_maxf_subcommand(capsys):
     code, out, _ = run(capsys, "maxf", "--a", "0", "--b", "0", "--d", "2",
                        "--theta", "1.5707963")
     assert code == 0 and out.strip() == "2.000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("maxf", "--a", "-1", "--b", "0", "--d", "2", "--theta", "1.0"),
+    ("maxf", "--a", "1", "--b", "0", "--d", "2", "--theta", "3.2"),
+    ("--tol", "0", "maxf", "--a", "1", "--b", "0", "--d", "2",
+     "--theta", "1.0"),
+])
+def test_maxf_out_of_domain_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_graph_deterministic(capsys):

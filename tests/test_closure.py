@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairorbit.closure import (
     b_rank,
@@ -13,10 +15,15 @@ from pairorbit.closure import (
     psi2_path,
     validate_graph,
 )
-from pairorbit.closure import _sample_edge_instances
+from pairorbit.closure import _beta_max, _sample_edge_instances
 from pairorbit.congruence import StarClass
 from pairorbit.congruence import StarTag as T
-from pairorbit.families import family_of
+from pairorbit.families import (
+    FAMILIES,
+    family_of,
+    representative,
+    sample_params,
+)
 
 
 def test_psi2_examples():
@@ -100,6 +107,96 @@ def test_max_f_against_brute_force():
         worst = max(worst, abs(max_f(a, b, d, theta)
                                - brute_force_grid(a, b, d, theta)))
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("args", [
+    (0.7, 1.1, 0.3 - 1j, 1.3, 0.0), (0.7, 1.1, 0.3 - 1j, 1.3, -1.0),
+    (0.7, 1.1, 0.3 - 1j, 1.3, np.nan),
+    (np.nan, 1.0, 1.0, 1.0, 1e-9), (1.0, np.nan, 1.0, 1.0, 1e-9),
+    (1.0, 1.0, complex(np.nan, 0.0), 1.0, 1e-9),
+    (np.inf, 1.0, 1.0, 1.0, 1e-9), (1.0, 1.0, complex(0.0, np.inf), 1.0, 1e-9),
+])
+def test_max_f_rejects_nonpositive_tol_and_nonfinite_input(args):
+    with pytest.raises(ValueError):
+        max_f(*args)
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-20, 5e-324])
+def test_max_f_tol_below_float_spacing_terminates(tol):
+    # the brackets cannot shrink below the spacing of xi; they stop there
+    want = max_f(0.7, 1.1, 0.3 - 1j, 1.3, 1e-9)
+    assert abs(max_f(0.7, 1.1, 0.3 - 1j, 1.3, tol) - want) < 1e-9
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0])
+def test_max_f_subnormal_d(b):
+    # Y = a R conj(d) T is subnormal on part of the grid
+    for d in (4.3e-306j, 1e-310, 5e-324j):
+        for theta in (0.0, 1.0):
+            assert abs(max_f(1.0, b, d, theta)
+                       - max_f(1.0, b, 0.0, theta)) < 1e-12
+
+
+def _dense_beta_max(u, w, v, n=4000):
+    """Reference for one row of _beta_max: a dense beta scan, then zooms."""
+    def g(betas):
+        return np.abs(u * np.exp(1j * betas) + w + v * np.exp(-1j * betas))
+
+    betas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    vals = g(betas)
+    c, hb = betas[np.argmax(vals)], betas[1] - betas[0]
+    best = float(np.max(vals))
+    for _ in range(8):
+        sub = np.linspace(c - hb, c + hb, 41)
+        vals = g(sub)
+        best = max(best, float(np.max(vals)))
+        c, hb = sub[np.argmax(vals)], hb / 10.0
+    return best
+
+
+def test_beta_max_mixed_rows_against_dense_scan():
+    rows = [
+        (0.7, 1.2, 0.3 - 1.1j),   # quartic
+        (2.0, 0.1, -0.5 + 0.2j),  # quartic
+        (0.4, 0.0, 1.0 + 1.0j),   # quartic with w = 0
+        (0.0, 1.3, 0.6 - 0.8j),   # u = 0
+        (1.5, 0.9, 0.0),          # v = 0
+        (0.0, 0.0, -2.0j),        # u = w = 0
+        (0.8, 0.0, 0.0),          # v = w = 0
+        (0.0, 0.7, 0.0),          # u = v = 0
+        (0.0, 0.0, 0.0),          # all zero
+        (1.0, 0.5, 1e-310j),      # subnormal Y
+        (1e-20, 1.0, 1.0),        # z^4 term below rounding: closed form
+    ]
+    u, w, v = (np.array(c) for c in zip(*rows))
+    got = _beta_max(u, w, v.astype(complex))
+    assert got.shape == (len(rows),)
+    for row, g in zip(rows, got):
+        ref = _dense_beta_max(*row)
+        assert ref <= g + 1e-12 and g - ref < 1e-9, (row, g, ref)
+
+
+_coef = st.floats(0.0, 2.0)
+_dpart = st.floats(-2.0, 2.0)
+_arc_points = st.lists(st.tuples(st.floats(0.0, 1.0),
+                                 st.floats(0.0, 2.0 * np.pi)),
+                       min_size=1, max_size=20)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_coef, _coef, _dpart, _dpart, st.floats(0.0, 3.05), _arc_points)
+def test_max_f_bounds_f_on_constraint_arc(a, b, dre, dim, theta, points):
+    """f at any feasible (r, t, beta) is at most max_f."""
+    d = complex(dre, dim)
+    M = max_f(a, b, d, theta)
+    for s, beta in points:
+        # (R, T) = lam (s, 1 - s) scaled onto R^2 + 2 R T cos(theta) + T^2 = 1
+        lam = 1.0 / np.sqrt(s * s + 2.0 * s * (1.0 - s) * np.cos(theta)
+                            + (1.0 - s) ** 2)
+        r, t = np.sqrt(lam * s), np.sqrt(lam * (1.0 - s))
+        f = abs(a * r * r * np.exp(1j * beta) + 2.0 * b * r * t
+                + d * t * t * np.exp(-1j * beta))
+        assert f <= M + 1e-9, (s, beta, f, M)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +307,16 @@ def test_b_rank_table():
                             zeta=0j)) == 1
     assert b_rank(family_of(T.RECIPROCAL, "one_plus_zeta", tau=0.5,
                             zeta=1.0 + 0j)) == 2
+
+
+def test_b_rank_field_matches_representatives():
+    for spec in FAMILIES.values():
+        for cls in sample_params(spec, n=3):
+            s = np.linalg.svd(representative(cls).B.m, compute_uv=False)
+            rank = int(np.sum(s > 1e-12 * max(1.0, s[0])))
+            if spec.b_rank >= 0:
+                assert spec.b_rank == rank, spec.key()
+            assert b_rank(cls) == rank, cls
 
 
 def test_export_graph_deterministic_and_counts():
