@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "compose",
     "group_inverse",
     "identity_element",
+    "least_squares",
     "max_norm",
     "pair_distance",
     "sample_group",
@@ -214,6 +216,67 @@ def sample_pair(seed: int, spread: float = 1.0) -> MatrixPair:
     A = spread * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     B = spread * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     return MatrixPair(Complex2x2(A), Sym2x2.symmetrize(0.5 * (B + B.T)))
+
+
+# ---------------------------------------------------------------------------
+# Nonlinear least squares
+# ---------------------------------------------------------------------------
+
+class LeastSquaresResult(NamedTuple):
+    x: np.ndarray
+    cost: float   # half the squared residual norm at x
+    nfev: int     # joint residual-and-Jacobian evaluations
+
+
+def least_squares(fun, x0, max_nfev: int) -> LeastSquaresResult:
+    """Minimize |r(x)|^2 / 2 by Levenberg-Marquardt with Nielsen's damping.
+
+    fun(x) returns (r, J), the residual vector and its Jacobian.  The damped
+    normal equations (J^T J + mu I) h = -J^T r give the step; an accepted step
+    scales mu by max(1/3, 1 - (2 rho - 1)^3), where rho is the actual over the
+    predicted decrease, and a rejected one by nu, which then doubles.  Stops
+    when the step falls below 1e-16 |x|, when the cost reaches 0, or after
+    max_nfev evaluations.  A damped system that is singular in floating
+    point counts as a rejected step.  There is deliberately no stop on a
+    small relative decrease: slowly converging fallback solves still reach
+    1e-10 if allowed to run.
+    """
+    x = np.array(x0, dtype=float)
+    r, J = fun(x)
+    cost = 0.5 * float(r @ r)
+    nfev = 1
+    A, g = J.T @ J, J.T @ r
+    # start near Gauss-Newton: max diag(J^T J) grows as |P|^2 on the
+    # ill-conditioned reducers the pairnf fallback gets, and a damping of
+    # 1e-3 of it shrinks the first step below the step stop before any
+    # progress; a damping that is too small costs a few rejected steps
+    mu = 1e-12 * float(np.max(np.diag(A))) or 1e-12
+    nu = 2.0
+    eye = np.eye(x.size)
+    while cost > 0.0 and nfev < max_nfev:
+        try:
+            h = np.linalg.solve(A + mu * eye, -g)
+        except np.linalg.LinAlgError:
+            # mu below the rounding of a rank-deficient J^T J: damp harder
+            mu *= nu
+            nu *= 2.0
+            continue
+        if not np.linalg.norm(h) > 1e-16 * np.linalg.norm(x):  # also on nan
+            break
+        r_new, J_new = fun(x + h)
+        nfev += 1
+        cost_new = 0.5 * float(r_new @ r_new)
+        if cost_new < cost:
+            # predicted decrease of the linear model: h^T (mu h - g) / 2 > 0
+            rho = (cost - cost_new) / (0.5 * float(h @ (mu * h - g)))
+            x, r, J, cost = x + h, r_new, J_new, cost_new
+            A, g = J.T @ J, J.T @ r
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+    return LeastSquaresResult(x, cost, nfev)
 
 
 # ---------------------------------------------------------------------------

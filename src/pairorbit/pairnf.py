@@ -9,7 +9,7 @@ phase-and-shear for the Jordan column, U(1,1) for the indefinite column,
 U(2) for the definite one), and the family plus its parameters are decided
 from stabilizer invariants before any numeric solve.  Both stages are
 constructive.  Only when the composed reducer misses the representative by
-more than 1e-10 does a numeric polish run: one structural Gauss-Newton
+more than 1e-10 does a numeric polish run: one structural least-squares
 solve, then one exactness solve against the fully pinned representative.
 """
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .congruence import StarTag, _sqrtm_2x2, classify_star, classify_tcong, takagi
 from .families import OrbitClass, representative
@@ -30,6 +29,7 @@ from .matcore import (
     Sym2x2,
     act_pair,
     compose,
+    least_squares,
     max_norm,
     pair_distance,
 )
@@ -582,7 +582,7 @@ def _reduce_indef_hside(B1, K, cls):
 
 
 # ---------------------------------------------------------------------------
-# polish: structural Gauss-Newton, then parameter re-extraction
+# polish: structural least squares, then parameter re-extraction
 # ---------------------------------------------------------------------------
 
 def _pack(g: GroupElement):
@@ -622,37 +622,66 @@ _FREE_SLOTS = {
 }
 
 def _b_coords(B):
-    return np.array([B[0, 0].real, B[0, 0].imag, B[0, 1].real,
-                     B[0, 1].imag, B[1, 1].real, B[1, 1].imag])
+    """The six real B coordinates; along the first axis for a stack of B."""
+    b11, b12, b22 = B[..., 0, 0], B[..., 0, 1], B[..., 1, 1]
+    return np.array([b11.real, b11.imag, b12.real, b12.imag, b22.real, b22.imag])
+
+
+_I2 = np.eye(2)
+
+
+def _act_jac(x, A, B):
+    """(c P* A P, P^T B P) at the packed x and their derivatives along the 9
+    packed coordinates (arg c, Re P11, Im P11, Re P12, ..., Im P22), each a
+    (9, 2, 2) complex array."""
+    c, P = _unpack(x)
+    # rounded as act_pair rounds them, so the residual reads what
+    # pair_distance will
+    AP, PhA, PtB = A @ P, P.conj().T @ A, P.T @ B
+    At = c * (PhA @ P)
+    Bt = PtB @ P
+    BP = PtB.T  # B is symmetric
+    # dP = E = e_j e_k^T: E^T M moves row j of M to row k, N E moves
+    # column j of N to column k; dP = i E gives -i E^T M and i N E.
+    rows_AP = np.einsum("ka,jb->jkab", _I2, AP).reshape(4, 2, 2)
+    cols_PhA = np.einsum("aj,kb->jkab", PhA, _I2).reshape(4, 2, 2)
+    rows_BP = np.einsum("ka,jb->jkab", _I2, BP).reshape(4, 2, 2)
+    dB_re = rows_BP + rows_BP.transpose(0, 2, 1)
+    dA = np.empty((9, 2, 2), dtype=complex)
+    dB = np.zeros((9, 2, 2), dtype=complex)
+    dA[0] = 1j * At
+    dA[1::2] = c * (rows_AP + cols_PhA)
+    dA[2::2] = 1j * c * (cols_PhA - rows_AP)
+    dB[1::2] = dB_re
+    dB[2::2] = 1j * dB_re
+    return At, Bt, dA, dB
+
+
+def _real_rows(dM):
+    """Jacobian rows of M.view(float).ravel() from (9, 2, 2) derivatives."""
+    return dM.view(float).reshape(9, 8).T
 
 
 def _structural_residual(pair, cls, A_nf):
-    """Residual function pinning only the structurally fixed coordinates."""
+    """Residual and Jacobian pinning only the structurally fixed coordinates."""
     free = set(_FREE_SLOTS[cls.b_form])
-    if cls.key() == (StarTag.RECIPROCAL, "generic"):
-        free = {2, 4, 5}          # off-diagonal real part free (b), zeta free
-        unit_slot = True          # |B11| = 1 replaces fixed B11
-    else:
-        unit_slot = False
-    tgt = _b_coords(representative(cls).B.m)
-    A = pair.A.m
-    Bm = pair.B.m
+    unit_slot = cls.key() == (StarTag.RECIPROCAL, "generic")
+    if unit_slot:
+        # b and zeta are free, and |B11| = 1 replaces the fixed B11
+        free = {0, 1, 2, 4, 5}
+    pinned = [i for i in range(6) if i not in free]
+    tgt = _b_coords(representative(cls).B.m)[pinned]
+    A, Bm = pair.A.m, pair.B.m
 
     def fun(x):
-        c, P = _unpack(x)
-        Ares = (c * (P.conj().T @ A @ P) - A_nf).view(float).ravel()
-        Bc = _b_coords(P.T @ Bm @ P)
-        rows = []
-        for i in range(6):
-            if i in free:
-                continue
-            if unit_slot and i in (0, 1):
-                continue
-            rows.append(Bc[i] - tgt[i])
+        At, Bt, dA, dB = _act_jac(x, A, Bm)
+        r = [(At - A_nf).view(float).ravel(), _b_coords(Bt)[pinned] - tgt]
+        J = [_real_rows(dA), _b_coords(dB)[pinned]]
         if unit_slot:
-            b11 = complex(Bc[0], Bc[1])
-            rows.append(abs(b11) - 1.0)
-        return np.concatenate([Ares, np.asarray(rows)])
+            b11, db11 = Bt[0, 0], dB[:, 0, 0]
+            r.append([abs(b11) - 1.0])
+            J.append([np.real(np.conj(b11) * db11) / max(abs(b11), 1e-300)])
+        return np.concatenate(r), np.vstack(J)
 
     return fun
 
@@ -724,7 +753,7 @@ def _polish(pair, cls, g, tol):
         pass
     # fallback: one structural solve, then one fully pinned exactness polish
     fun = _structural_residual(pair, cls, representative(cls).A.m)
-    sol = least_squares(fun, _pack(g), method="lm", max_nfev=400)
+    sol = least_squares(fun, _pack(g), max_nfev=400)
     c, P = _unpack(sol.x)
     res = np.inf
     if abs(np.linalg.det(P)) > 1e-12:
@@ -741,18 +770,24 @@ def _polish(pair, cls, g, tol):
         f"B normalization stalled for family {cls.key()}", res)
 
 
-def _full_polish(pair, cls, g):
+def _full_residual(pair, cls):
+    """Residual and Jacobian pinning the pair to representative(cls)."""
     rep = representative(cls)
     A, Bm = pair.A.m, pair.B.m
-    At, Bt = rep.A.m, rep.B.m
+    target = np.concatenate([rep.A.m.view(float).ravel(),
+                             rep.B.m.view(float).ravel()])
 
     def fun(x):
-        c, P = _unpack(x)
-        r1 = (c * (P.conj().T @ A @ P) - At).view(float).ravel()
-        r2 = (P.T @ Bm @ P - Bt).view(float).ravel()
-        return np.concatenate([r1, r2])
+        At, Bt, dA, dB = _act_jac(x, A, Bm)
+        r = np.concatenate([At.view(float).ravel(), Bt.view(float).ravel()])
+        return r - target, np.vstack([_real_rows(dA), _real_rows(dB)])
 
-    sol = least_squares(fun, _pack(g), method="lm", max_nfev=300)
+    return fun
+
+
+def _full_polish(pair, cls, g):
+    rep = representative(cls)
+    sol = least_squares(_full_residual(pair, cls), _pack(g), max_nfev=300)
     c, P = _unpack(sol.x)
     if abs(np.linalg.det(P)) < 1e-14:
         return g, pair_distance(act_pair(g, pair), rep)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .congruence import StarTag
 from .families import FAMILIES, OrbitClass, representative
@@ -28,6 +27,7 @@ from .matcore import (
     act_pair,
     compose,
     group_inverse,
+    least_squares,
     max_norm,
     pair_distance,
 )
@@ -105,62 +105,73 @@ def verify_witness(w: WitnessFamily, s_values=None, tol: float = 1e-6,
 
 
 # ---------------------------------------------------------------------------
-# stabilizer quadratic forms of the target A representatives:
-# (1,1)-entry of c P* A P as a function of the first column (x, u).
+# the target's forms on the first column v = (x, u) of P: the (1,1) entries
+# v* A v of P* A P and v^T B v of P^T B P, with their derivatives along
+# z = (Re x, Im x, Re u, Im u).
 # ---------------------------------------------------------------------------
 
-def _quad_a(cls: OrbitClass):
-    """Returns f(x, u) -> complex, the (1,1)-entry of P* A_rep P."""
-    t = cls.a_family
-    if t == U:
-        w = np.exp(1j * float(np.real(cls.params["theta"])))
-        return lambda x, u: abs(x) ** 2 + w * abs(u) ** 2
-    if t == D:
-        return lambda x, u: abs(x) ** 2 + abs(u) ** 2
-    if t == E and not cls.b_form.startswith("h_"):
-        return lambda x, u: abs(x) ** 2 - abs(u) ** 2
-    if t == E:  # H representative
-        return lambda x, u: 2.0 * np.real(np.conj(x) * u)
-    if t == R:
-        tau = float(np.real(cls.params["tau"]))
-        return lambda x, u: ((1 + tau) * np.real(np.conj(x) * u)
-                             + 1j * (1 - tau) * np.imag(np.conj(x) * u))
-    if t == N:
-        return lambda x, u: np.conj(x) * u
-    if t == J:
-        return lambda x, u: 2.0 * np.real(np.conj(x) * u) + 1j * abs(u) ** 2
-    if t == S:
-        return lambda x, u: abs(x) ** 2 + 0.0j
-    raise ValueError(t)
+def _forms_jac(z, A, B):
+    """(v* A v, v^T B v) at v = (z0 + i z1, z2 + i z3) and their complex
+    derivatives along the four real coordinates."""
+    v = np.array([complex(z[0], z[1]), complex(z[2], z[3])])
+    Av, vhA, Bv = A @ v, v.conj() @ A, B @ v
+    # dv = e_j: (A v)_j + (v* A)_j and 2 (B v)_j; dv = i e_j: i times
+    # (v* A)_j - (A v)_j and 2 (B v)_j
+    da = np.empty(4, dtype=complex)
+    da[0::2] = Av + vhA
+    da[1::2] = 1j * (vhA - Av)
+    db = np.empty(4, dtype=complex)
+    db[0::2] = 2.0 * Bv
+    db[1::2] = 2j * Bv
+    return vhA @ v, v @ Bv, da, db
 
 
-def _quad_b(cls: OrbitClass):
-    Bt = representative(cls).B.m
-    return lambda x, u: (Bt[0, 0] * x * x + 2.0 * Bt[0, 1] * x * u
-                         + Bt[1, 1] * u * u)
+def _first_column_residual(dst: OrbitClass, atil: float):
+    """(r, J) of |v* A v| - 1 and v^T B v - atil over the target's forms."""
+    rep = representative(dst)
+    A, B = rep.A.m, rep.B.m
+
+    def fun(z):
+        va, vb, da, db = _forms_jac(z, A, B)
+        r = np.array([abs(va) - 1.0, (vb - atil).real, (vb - atil).imag])
+        J = np.array([np.real(np.conj(va) * da) / max(abs(va), 1e-300),
+                      db.real, db.imag])
+        return r, J
+    return fun
+
+
+def _isotropic_residual(dst: OrbitClass):
+    """(r, J) of v* A v and v^T B v - 1 over the target's forms."""
+    rep = representative(dst)
+    A, B = rep.A.m, rep.B.m
+
+    def fun(z):
+        va, vb, da, db = _forms_jac(z, A, B)
+        r = np.array([va.real, va.imag, (vb - 1.0).real, (vb - 1.0).imag])
+        return r, np.array([da.real, da.imag, db.real, db.imag])
+    return fun
+
+
+def _solve_column(fun, z_first, seed):
+    """A root (x, u) of fun to 1e-12 from z_first or, failing that, from up to
+    39 seeded random starts; None if every start misses."""
+    rng = np.random.default_rng(seed)
+    for k in range(40):
+        z0 = rng.uniform(-1.5, 1.5, 4) if k else z_first
+        sol = least_squares(fun, z0, max_nfev=600)
+        if np.sqrt(2 * sol.cost) < 1e-12:
+            return complex(sol.x[0], sol.x[1]), complex(sol.x[2], sol.x[3])
+    return None
 
 
 def _solve_first_column(dst: OrbitClass, atil: float, seed: int = 0):
-    """Find (x, u, c) with c * quadA(x,u) = 1 and quadB(x,u) = atil."""
-    qa, qb = _quad_a(dst), _quad_b(dst)
-
-    def residual(z):
-        x = complex(z[0], z[1])
-        u = complex(z[2], z[3])
-        va, vb = qa(x, u), qb(x, u)
-        return np.array([abs(va) - 1.0, (vb - atil).real, (vb - atil).imag])
-
-    rng = np.random.default_rng(seed)
-    for k in range(40):
-        z0 = rng.uniform(-1.5, 1.5, 4) if k else np.array([1.0, 0.1, 0.8, -0.2])
-        sol = least_squares(residual, z0, method="trf",
-                            xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=600)
-        if np.sqrt(2 * sol.cost) < 1e-12:
-            x = complex(sol.x[0], sol.x[1])
-            u = complex(sol.x[2], sol.x[3])
-            va = qa(x, u)
-            return x, u, 1.0 / va
-    return None
+    """Find (x, u, c) with c * v* A v = 1 and v^T B v = atil for v = (x, u)."""
+    sol = _solve_column(_first_column_residual(dst, atil),
+                        np.array([1.0, 0.1, 0.8, -0.2]), seed)
+    if sol is None:
+        return None
+    v = np.array(sol)
+    return (*sol, 1.0 / (v.conj() @ representative(dst).A.m @ v))
 
 
 def _col_curve(x, u, c, q):
@@ -193,27 +204,14 @@ def _solved_witness(src: OrbitClass, dst: OrbitClass, name, citation,
 def _z1_witness(dst: OrbitClass, name, citation, seed=0):
     """Generic curve for the source (0_2, 1+0): A-isotropic first column
     with the B form normalized to 1."""
-    qa, qb = _quad_a(dst), _quad_b(dst)
-
-    def residual(z):
-        x = complex(z[0], z[1])
-        u = complex(z[2], z[3])
-        va, vb = qa(x, u), qb(x, u)
-        return np.array([va.real, va.imag, (vb - 1.0).real, (vb - 1.0).imag])
-
-    rng = np.random.default_rng(seed)
-    for k in range(40):
-        z0 = rng.uniform(-1.5, 1.5, 4) if k else np.array([0.7, 0.0, 0.7, 0.1])
-        sol = least_squares(residual, z0, method="trf",
-                            xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=600)
-        if np.sqrt(2 * sol.cost) < 1e-12:
-            x = complex(sol.x[0], sol.x[1])
-            u = complex(sol.x[2], sol.x[3])
-            q = np.array([1.0, 0.0]) if abs(u) > abs(x) else np.array([0.0, 1.0])
-            src = OrbitClass(Z, "rank1", {})
-            return WitnessFamily(name, src, dst, _col_curve(x, u, 1.0, q),
-                                 citation)
-    return None
+    sol = _solve_column(_isotropic_residual(dst), np.array([0.7, 0.0, 0.7, 0.1]),
+                        seed)
+    if sol is None:
+        return None
+    x, u = sol
+    q = np.array([1.0, 0.0]) if abs(u) > abs(x) else np.array([0.0, 1.0])
+    src = OrbitClass(Z, "rank1", {})
+    return WitnessFamily(name, src, dst, _col_curve(x, u, 1.0, q), citation)
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +543,22 @@ def _catalog_closed_form():
     return out
 
 
+_SOLVED_SOURCES = ((S, "zero"), (S, "a_plus_0"), (Z, "rank1"))
+
+
+def _solved_instance(sk, dk, cond):
+    """(src, dst) of one sampled instance of the edge sk -> dk, or None."""
+    from .closure import _sample_edge_instances
+    inst = _sample_edge_instances(sk, dk, cond, 1, seed=17)
+    return inst[0] if inst else None
+
+
 def _catalog_solved(covered):
     """Systematically constructed curves for every declared edge whose
     source has A = 1+0 (first column solves the target's stabilizer
     equations) or source (0_2, 1+0) (A-isotropic first column), plus the
     universal shrink from the origin."""
-    from .closure import _sample_edge_instances, pair_edges
+    from .closure import pair_edges
     out = []
     z0 = OrbitClass(Z, "zero", {})
     for (sk, dk), cond in sorted(pair_edges().items()):
@@ -564,12 +572,12 @@ def _catalog_solved(covered):
                 lambda s: _g(1.0, [[s, 0.0], [0.0, s]]),
                 "P(s) = s I shrinks every pair to (0_2, 0_2)"))
             continue
-        if sk not in ((S, "zero"), (S, "a_plus_0"), (Z, "rank1")):
+        if sk not in _SOLVED_SOURCES:
             continue
-        inst = _sample_edge_instances(sk, dk, cond, 1, seed=17)
-        if not inst:
+        inst = _solved_instance(sk, dk, cond)
+        if inst is None:
             continue
-        src, dst = inst[0]
+        src, dst = inst
         if sk == (Z, "rank1"):
             w = _z1_witness(dst, f"solvedZ->{dk[0]}|{dk[1]}",
                             "A-isotropic first column normalizing the B form")

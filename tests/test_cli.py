@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,3 +113,25 @@ def test_undecided_exit_3(capsys):
                        "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]})
     code, out, err = run(capsys, "classify", "--pair", pair)
     assert code == 3 and "undecided" in err
+
+
+def test_no_scipy_import():
+    # numpy is the only runtime dependency: importing the package, a CLI
+    # classification of a generic pair and the witness catalog build must
+    # not pull in scipy
+    code = ("import json, sys\n"
+            "import pairorbit\n"
+            "from pairorbit.cli import main\n"
+            "from pairorbit.matcore import pair_to_json, sample_pair\n"
+            "from pairorbit.witness import witness_catalog\n"
+            "pair = json.dumps(pair_to_json(sample_pair(5)))\n"
+            "assert main(['classify', '--pair', pair]) == 0\n"
+            "assert len(witness_catalog()) > 0\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'],"
+            " file=sys.stderr)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stderr.strip() == "[]"

@@ -11,6 +11,7 @@ from pairorbit.matcore import (
     compose,
     group_inverse,
     identity_element,
+    least_squares,
     max_norm,
     pair_distance,
     pair_from_json,
@@ -125,3 +126,42 @@ def test_json_round_trip():
     text = json.dumps(pair_to_json(p))
     q = pair_from_json(text)
     assert pair_distance(p, q) == 0.0
+
+
+def _rosenbrock(x):
+    r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    J = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+    return r, J
+
+
+def test_least_squares_converges_on_rosenbrock():
+    sol = least_squares(_rosenbrock, [-1.2, 1.0], max_nfev=200)
+    x, cost, nfev = sol
+    assert np.allclose(x, [1.0, 1.0], atol=1e-12)
+    assert cost == sol.cost < 1e-25
+    assert nfev == sol.nfev < 200
+
+
+def test_least_squares_stops_at_max_nfev():
+    sol = least_squares(_rosenbrock, [-1.2, 1.0], max_nfev=4)
+    assert sol.nfev == 4 and sol.cost > 1e-3
+
+
+def test_least_squares_stops_on_a_nonzero_minimum():
+    # r = (x - 1, x + 1) has its minimum at x = 0 with cost 1 + x^2, so the
+    # cost resolves x only to about sqrt(eps); the solver stops once the
+    # damped step no longer moves x
+    def fun(x):
+        return np.array([x[0] - 1.0, x[0] + 1.0]), np.array([[1.0], [1.0]])
+    sol = least_squares(fun, [3.0], max_nfev=500)
+    assert abs(sol.x[0]) < 1e-7 and abs(sol.cost - 1.0) < 1e-14
+    assert sol.nfev < 500
+
+
+def test_least_squares_underdetermined_root():
+    # one equation in two unknowns: J^T J is singular at every point
+    def fun(x):
+        s = x[0] + x[1]
+        return np.array([s ** 3 - 1.0]), 3.0 * s * s * np.ones((1, 2))
+    sol = least_squares(fun, [2.0, 1.0], max_nfev=300)
+    assert abs(sol.x.sum() - 1.0) < 1e-14

@@ -25,11 +25,14 @@ from pairorbit.matcore import (
     Sym2x2,
     act_pair,
     group_inverse,
+    least_squares,
     pair_distance,
     sample_group,
 )
+from pairorbit import pairnf as pn
 from pairorbit.pairnf import classify_pair, orbit_equal
 from pairorbit.tangent import orbit_dimension
+from pairorbit.witness import perturb_experiment
 
 
 def test_family_registry_counts():
@@ -190,3 +193,80 @@ def test_orbit_class_json_snapshot():
     obj2 = orbit_class_to_json(cls2)
     assert obj2["params"]["zeta"] == [1.0, -2.0]
     assert orbit_class_from_json(obj2).close_to(cls2, 0)
+
+
+def _central_jacobian(fun, x, h=1e-6):
+    cols = []
+    for k in range(x.size):
+        e = np.zeros_like(x)
+        e[k] = h
+        cols.append((fun(x + e)[0] - fun(x - e)[0]) / (2.0 * h))
+    return np.array(cols).T
+
+
+def _assert_jacobian(fun, x):
+    J = fun(x)[1]
+    Jc = _central_jacobian(fun, x)
+    assert J.shape == Jc.shape
+    assert np.max(np.abs(J - Jc)) <= 1e-6 * max(1.0, np.max(np.abs(J)))
+
+
+@pytest.mark.parametrize("b_form", sorted(pn._FREE_SLOTS))
+def test_structural_residual_jacobian(b_form):
+    rng = np.random.default_rng(zlib.crc32(b_form.encode()))
+    keys = [k for k in FAMILIES if k[1] == b_form]
+    assert keys
+    for key in keys:
+        cls = sample_params(FAMILIES[key], n=1, seed=5)[0]
+        p = MatrixPair.of(*(rng.standard_normal((2, 2, 2)) @ [1.0, 1j]
+                            for _ in range(2)))
+        fun = pn._structural_residual(p, cls, representative(cls).A.m)
+        for _ in range(3):
+            _assert_jacobian(fun, rng.standard_normal(9))
+
+
+def test_structural_residual_unit_slot():
+    # (reciprocal | generic) pins |B11| = 1 instead of B11 itself
+    cls = sample_params(FAMILIES[(T.RECIPROCAL, "generic")], n=1, seed=5)[0]
+    p = MatrixPair.of(np.eye(2), np.eye(2))
+    fun = pn._structural_residual(p, cls, representative(cls).A.m)
+    x = np.concatenate([[0.3], np.array([[2.0, 0.5j], [0.1, 1.0]]).view(float).ravel()])
+    r, J = fun(x)
+    assert r.shape == (10,) and J.shape == (10, 9)  # A, Im B12, |B11|
+    assert abs(r[-1] - 3.01) < 1e-14       # |B11| - 1 with B11 = 4.01
+    _assert_jacobian(fun, x)
+
+
+def test_full_residual_jacobian():
+    rng = np.random.default_rng(7)
+    for key, spec in FAMILIES.items():
+        cls = sample_params(spec, n=1, seed=5)[0]
+        p = act_pair(sample_group(zlib.crc32(repr(key).encode()) % 1000),
+                     representative(cls))
+        fun = pn._full_residual(p, cls)
+        _assert_jacobian(fun, rng.standard_normal(9))
+
+
+def test_fallback_polish_reaches_the_representative(monkeypatch):
+    # sample 3 misses the 1e-10 fast path (its reducer has |P| ~ 1e5 and the
+    # target |zeta| ~ 1e10) and needs both the structural and the exactness
+    # solve
+    rep = perturb_experiment(family_of(T.ZERO, "full"), 1e-5, 4, seed=87989972)
+    assert rep.unresolved == 0
+    # sample 3 itself: representative(zero | full) = (0, I) plus (E, F)
+    E = np.array([[-3.829936787223943e-06 + 8.134710232737297e-06j,
+                   1.5153088858134077e-06 + 4.715967377375815e-06j],
+                  [-7.551330885970415e-06 + 2.301018799699402e-06j,
+                   7.915362582362402e-07 - 7.238487133750308e-06j]])
+    f11 = -8.705097686403514e-06 + 8.542104472661499e-07j
+    f12 = -5.9228644431717736e-06 + 1.986949948159849e-06j
+    f22 = 1.9599957691177804e-06 - 8.512420611485251e-06j
+    p = MatrixPair.of(E, Sym2x2.symmetrize(
+        np.eye(2) + np.array([[f11, f12], [f12, f22]])))
+    calls = []
+    monkeypatch.setattr(pn, "least_squares",
+                        lambda *a, **k: calls.append(1) or least_squares(*a, **k))
+    out = classify_pair(p)
+    assert len(calls) == 2
+    assert out.cls.key() == (T.RECIPROCAL, "generic")
+    assert out.residual <= 1e-8

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from pairorbit import witness as wt
 from pairorbit.closure import pair_path
 from pairorbit.congruence import StarTag as T
-from pairorbit.families import family_of
+from pairorbit.families import family_of, representative
 from pairorbit.witness import (
     TRIAGED,
     DivergenceDetected,
@@ -115,3 +116,48 @@ def test_perturb_report_json_shape():
     obj = rep.to_json()
     assert obj["samples"] == 20
     assert sum(obj["histogram"].values()) + obj["unresolved"] == 20
+
+
+def _solved_targets():
+    """(source key, src, dst) of every edge the solved curves are built for."""
+    from pairorbit.closure import pair_edges
+    out = []
+    for (sk, dk), cond in sorted(pair_edges().items()):
+        if sk in wt._SOLVED_SOURCES:
+            inst = wt._solved_instance(sk, dk, cond)
+            if inst is not None:
+                out.append((sk, *inst))
+    return out
+
+
+def test_witness_system_jacobians():
+    # both stabilizer systems against central differences, for every target
+    # of the solved curves
+    rng = np.random.default_rng(19)
+    targets = _solved_targets()
+    assert len(targets) >= 10
+    for _, src, dst in targets:
+        atil = float(np.real(src.params.get("a", 0.0)))
+        for fun in (wt._first_column_residual(dst, atil), wt._isotropic_residual(dst)):
+            for _ in range(3):
+                z = rng.uniform(-1.5, 1.5, 4)
+                J = fun(z)[1]
+                cols = []
+                for k in range(4):
+                    e = np.zeros(4)
+                    e[k] = 1e-6
+                    cols.append((fun(z + e)[0] - fun(z - e)[0]) / 2e-6)
+                err = np.max(np.abs(J - np.array(cols).T))
+                assert err <= 1e-6 * max(1.0, np.max(np.abs(J))), (str(dst), err)
+
+
+def test_witness_forms_match_the_representative():
+    # v* A v and v^T B v are the (1,1) entries of P* A P and P^T B P
+    rng = np.random.default_rng(23)
+    for _, _, dst in _solved_targets():
+        rep = representative(dst)
+        z = rng.standard_normal(4)
+        P = np.array([[complex(z[0], z[1]), 0.3], [complex(z[2], z[3]), 1.0]])
+        va, vb, _, _ = wt._forms_jac(z, rep.A.m, rep.B.m)
+        assert abs(va - (P.conj().T @ rep.A.m @ P)[0, 0]) < 1e-13
+        assert abs(vb - (P.T @ rep.B.m @ P)[0, 0]) < 1e-13
