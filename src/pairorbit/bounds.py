@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .congruence import _rank
 from .matcore import (
     Complex2x2,
     MatrixPair,
@@ -106,11 +107,7 @@ def _certificates(src: MatrixPair, dst: MatrixPair, tol: float):
                                         bound_F=_singularity_radius(Bs)))
     # full-rank B dropping rank under T-congruence: P^T B P is singular, so
     # B~ + F is singular and the singularity radius of B~ certifies F
-    sb_s = np.linalg.svd(Bs, compute_uv=False)
-    sb_d = np.linalg.svd(Bd, compute_uv=False)
-    rk_s = int(np.sum(sb_s > tol * max(1.0, sb_s[0])))
-    rk_d = int(np.sum(sb_d > tol * max(1.0, sb_d[0])))
-    if rk_s == 2 and rk_d <= 1:
+    if _rank(Bs, tol) == 2 and _rank(Bd, tol) <= 1:
         certs.append(NonPathCertificate("TcongRule",
                                         bound_F=_singularity_radius(Bs)))
     # determinant-ratio rule

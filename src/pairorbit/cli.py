@@ -1,8 +1,10 @@
 """Command-line interface.
 
 stdout carries the machine-readable payload, stderr the diagnostics.
-Exit codes: 0 success, 2 input error, 3 ambiguous / unsolved /
-rank-unstable outcomes.
+Exit codes: 0 success; 2 input error (malformed JSON, an out-of-range
+option, BadParams, PreconditionViolated, NotStandardPosition), with
+"error:" on stderr; 3 any other PairOrbitError (ambiguous, unsolved or
+rank-unstable outcomes), with "undecided:" on stderr.
 """
 
 from __future__ import annotations
@@ -19,12 +21,22 @@ from .bounds import (
     phase_estimate,
 )
 from .closure import export_graph, max_f, pair_path_detail, validate_graph
-from .congruence import AmbiguousNearBoundary
 from .families import orbit_class_from_json, orbit_class_to_json
-from .matcore import Complex2x2, complex_from_json, mat_from_json, pair_from_json
-from .pairnf import StabilizerSolveFailed, classify_pair
-from .surface import is_quadratically_flat, jet_from_json, reduce_jet
-from .tangent import RankUnstable, orbit_dimension
+from .matcore import (
+    Complex2x2,
+    PairOrbitError,
+    complex_from_json,
+    mat_from_json,
+    pair_from_json,
+)
+from .pairnf import classify_pair
+from .surface import (
+    NotStandardPosition,
+    is_quadratically_flat,
+    jet_from_json,
+    reduce_jet,
+)
+from .tangent import orbit_dimension
 from .witness import perturb_experiment, verify_witness, witness_catalog
 
 EXIT_OK = 0
@@ -57,12 +69,7 @@ def _reducer_json(g):
 
 
 def cmd_classify(args):
-    p = _load_pair(args.pair)
-    try:
-        out = classify_pair(p, args.tol)
-    except (AmbiguousNearBoundary, StabilizerSolveFailed) as e:
-        print(f"undecided: {e}", file=sys.stderr)
-        return EXIT_UNDECIDED
+    out = classify_pair(_load_pair(args.pair), args.tol)
     payload = {"class": orbit_class_to_json(out.cls),
                "reducer": _reducer_json(out.reducer),
                "residual": out.residual}
@@ -71,12 +78,7 @@ def cmd_classify(args):
 
 
 def cmd_dim(args):
-    p = _load_pair(args.pair)
-    try:
-        print(orbit_dimension(p, args.tol))
-    except RankUnstable as e:
-        print(f"undecided: {e}", file=sys.stderr)
-        return EXIT_UNDECIDED
+    print(orbit_dimension(_load_pair(args.pair), args.tol))
     return EXIT_OK
 
 
@@ -127,10 +129,7 @@ def cmd_bounds(args):
 def cmd_phase(args):
     src = _load_mat(args.src)
     dst = _load_mat(args.dst)
-    try:
-        delta, g, r = phase_estimate(src, dst, args.enorm)
-    except PreconditionViolated as e:
-        return _input_error(str(e))
+    delta, g, r = phase_estimate(src, dst, args.enorm)
     print(json.dumps({"delta": delta, "g_bound": g, "r_bound": r}))
     return EXIT_OK
 
@@ -261,12 +260,19 @@ def main(argv=None):
             return _input_error("--strict requires an explicit --seed for "
                                 "randomized subcommands")
         args.seed = 0
+    if not args.tol > 0:
+        return _input_error("--tol must be positive")
+    if not getattr(args, "eps", 1.0) > 0:
+        return _input_error("--eps must be positive")
+    if getattr(args, "samples", 1) < 1:
+        return _input_error("--samples must be at least 1")
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
-    except BadParams as e:
+    except (BadParams, PreconditionViolated, NotStandardPosition) as e:
         return _input_error(str(e))
+    except PairOrbitError as e:
+        print(f"undecided: {e}", file=sys.stderr)
+        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congruence import STAR_DIMS, StarClass, StarTag
-from .families import FAMILIES, OrbitClass, representative
+from .families import FAMILIES, OrbitClass, representative, star_of
 from .matcore import max_norm
 
 __all__ = [
@@ -419,15 +419,6 @@ def pair_edges():
     return dict(_PAIR_EDGES)
 
 
-def _star_of(cls: OrbitClass) -> StarClass:
-    t = cls.a_family
-    if t == StarTag.UNIMODULAR:
-        return StarClass(t, theta=float(np.real(cls.params["theta"])))
-    if t == StarTag.RECIPROCAL:
-        return StarClass(t, tau=float(np.real(cls.params["tau"])))
-    return StarClass(t)
-
-
 def det_p_of_classes(src: OrbitClass, dst: OrbitClass) -> float:
     ps, pd = representative(src), representative(dst)
     return abs(np.linalg.det(ps.A.m) * np.linalg.det(pd.B.m)) - \
@@ -437,7 +428,7 @@ def det_p_of_classes(src: OrbitClass, dst: OrbitClass) -> float:
 def necessary_conditions_ok(src: OrbitClass, dst: OrbitClass,
                             ptol: float = _PTOL):
     """Necessary conditions for a closure path; returns (ok, reason)."""
-    if not psi1_path(_star_of(src), _star_of(dst)):
+    if not psi1_path(star_of(src), star_of(dst)):
         return False, "no Psi1 path between the A parts"
     if not psi2_path(b_rank(src), b_rank(dst)):
         return False, "B rank decreases"

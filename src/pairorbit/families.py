@@ -1,6 +1,10 @@
 """The 42 normal-form families for pairs (A, B): registry, representatives,
 parameter domains and JSON encoding.
 
+Each family's B is one layout of three slots (FamilySpec.b_slots); its
+parameter names, its representative, the read-back of its parameters off a
+reduced B and the coordinates the numeric polish pins all derive from it.
+
 Families are keyed by (a_family, b_form).  Continuous parameters live in
 open ranges: 0 < tau < 1, 0 < theta < pi, a, b, d > 0, d0 in {0, d},
 r >= 0, zeta complex, 0 <= phi < pi.  The indefinite a_family uses two
@@ -15,18 +19,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .congruence import StarTag
+from .congruence import StarClass, StarTag, star_representative
 from .matcore import Complex2x2, MatrixPair, Sym2x2, complex_from_json, complex_to_json
 
 __all__ = ["OrbitClass", "FamilySpec", "FAMILIES", "representative",
            "is_generic", "family_of", "orbit_class_to_json",
-           "orbit_class_from_json", "A_PARAM", "sample_params"]
+           "orbit_class_from_json", "A_PARAM", "sample_params", "star_of",
+           "read_back"]
 
 # which parameter (if any) the A-side carries, per a_family
 A_PARAM = {
     StarTag.UNIMODULAR: "theta",
     StarTag.RECIPROCAL: "tau",
 }
+
+
+_SLOT_IJ = ((0, 0), (0, 1), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -37,67 +45,91 @@ class FamilySpec:
     # B rank of the representative, constant on the family; -1 where it
     # depends on the parameters (closure.b_rank decides those)
     b_rank: int
-    b_params: tuple
+    # (B11, B12, B22) of the representative.  A slot is a constant 0 or 1,
+    # a positive parameter ("d0" is 0 or d), the complex "zeta", or a
+    # phase slot "m@angle" = m e^{i angle} with modulus m (1 when empty).
+    b_slots: tuple
+    # the A parameter (if any), then the slot parameters in slot order
+    b_params: tuple = field(init=False)
+
+    def __post_init__(self):
+        names = [A_PARAM[self.a_family]] if self.a_family in A_PARAM else []
+        for slot in self.b_slots:
+            if isinstance(slot, str):
+                names += [n for n in slot.split("@") if n]
+        object.__setattr__(self, "b_params", tuple(names))
 
     def key(self):
         return (self.a_family, self.b_form)
 
-
-def _mk(a, b, dim, b_rank, params):
-    return FamilySpec(a, b, dim, b_rank, params)
+    def b_pins(self):
+        """What the structural polish holds fixed: indices into the six real
+        B coordinates (re11, im11, re12, im12, re22, im22), and the (i, j)
+        entries whose modulus is pinned to 1.  A constant slot pins Re and
+        Im, a positive parameter pins Im, and every "@phi" slot its modulus;
+        zeta and the other phase slots are free."""
+        pinned, units = [], []
+        for k, slot in enumerate(self.b_slots):
+            if not isinstance(slot, str):
+                pinned += [2 * k, 2 * k + 1]
+            elif slot == "@phi":
+                units.append(_SLOT_IJ[k])
+            elif slot != "zeta" and "@" not in slot:
+                pinned.append(2 * k + 1)
+        return pinned, units
 
 
 _F = [
     # a_family zero
-    _mk(StarTag.ZERO, "zero", 0, 0, ()),
-    _mk(StarTag.ZERO, "rank1", 4, 1, ()),
-    _mk(StarTag.ZERO, "full", 6, 2, ()),
+    FamilySpec(StarTag.ZERO, "zero", 0, 0, (0, 0, 0)),
+    FamilySpec(StarTag.ZERO, "rank1", 4, 1, (1, 0, 0)),
+    FamilySpec(StarTag.ZERO, "full", 6, 2, (1, 0, 1)),
     # a_family rank1_semidef  (A = diag(1, 0))
-    _mk(StarTag.RANK1_SEMIDEF, "zero", 4, 0, ()),
-    _mk(StarTag.RANK1_SEMIDEF, "a_plus_0", 5, 1, ("a",)),
-    _mk(StarTag.RANK1_SEMIDEF, "zero_plus_1", 8, 1, ()),
-    _mk(StarTag.RANK1_SEMIDEF, "antidiag_1", 8, 2, ()),
-    _mk(StarTag.RANK1_SEMIDEF, "a_plus_1", 9, 2, ("a",)),
+    FamilySpec(StarTag.RANK1_SEMIDEF, "zero", 4, 0, (0, 0, 0)),
+    FamilySpec(StarTag.RANK1_SEMIDEF, "a_plus_0", 5, 1, ("a", 0, 0)),
+    FamilySpec(StarTag.RANK1_SEMIDEF, "zero_plus_1", 8, 1, (0, 0, 1)),
+    FamilySpec(StarTag.RANK1_SEMIDEF, "antidiag_1", 8, 2, (0, 1, 0)),
+    FamilySpec(StarTag.RANK1_SEMIDEF, "a_plus_1", 9, 2, ("a", 0, 1)),
     # a_family rank1_nilpotent  (A = [[0,1],[0,0]])
-    _mk(StarTag.RANK1_NILPOTENT, "zero", 6, 0, ()),
-    _mk(StarTag.RANK1_NILPOTENT, "antidiag_b", 7, 2, ("b",)),
-    _mk(StarTag.RANK1_NILPOTENT, "one_plus_0", 8, 1, ()),
-    _mk(StarTag.RANK1_NILPOTENT, "zero_plus_1", 8, 1, ()),
-    _mk(StarTag.RANK1_NILPOTENT, "a_plus_1", 9, 2, ("a",)),
-    _mk(StarTag.RANK1_NILPOTENT, "zeta_b_1", 9, -1, ("zeta", "b")),
-    _mk(StarTag.RANK1_NILPOTENT, "one_b_0", 9, 2, ("b",)),
+    FamilySpec(StarTag.RANK1_NILPOTENT, "zero", 6, 0, (0, 0, 0)),
+    FamilySpec(StarTag.RANK1_NILPOTENT, "antidiag_b", 7, 2, (0, "b", 0)),
+    FamilySpec(StarTag.RANK1_NILPOTENT, "one_plus_0", 8, 1, (1, 0, 0)),
+    FamilySpec(StarTag.RANK1_NILPOTENT, "zero_plus_1", 8, 1, (0, 0, 1)),
+    FamilySpec(StarTag.RANK1_NILPOTENT, "a_plus_1", 9, 2, ("a", 0, 1)),
+    FamilySpec(StarTag.RANK1_NILPOTENT, "zeta_b_1", 9, -1, ("zeta", "b", 1)),
+    FamilySpec(StarTag.RANK1_NILPOTENT, "one_b_0", 9, 2, (1, "b", 0)),
     # a_family definite  (A = I2)
-    _mk(StarTag.DEFINITE, "zero", 5, 0, ()),
-    _mk(StarTag.DEFINITE, "d0_plus_d", 8, -1, ("d0", "d")),
-    _mk(StarTag.DEFINITE, "a_lt_d", 9, 2, ("a", "d")),
+    FamilySpec(StarTag.DEFINITE, "zero", 5, 0, (0, 0, 0)),
+    FamilySpec(StarTag.DEFINITE, "d0_plus_d", 8, -1, ("d0", 0, "d")),
+    FamilySpec(StarTag.DEFINITE, "a_lt_d", 9, 2, ("a", 0, "d")),
     # a_family indefinite  (A = diag(1,-1) or [[0,1],[1,0]])
-    _mk(StarTag.INDEFINITE, "zero", 5, 0, ()),
-    _mk(StarTag.INDEFINITE, "d0_plus_d", 8, -1, ("d0", "d")),
-    _mk(StarTag.INDEFINITE, "antidiag_b", 8, 2, ("b",)),
-    _mk(StarTag.INDEFINITE, "a_lt_d", 9, 2, ("a", "d")),
-    _mk(StarTag.INDEFINITE, "h_one_plus_0", 8, 1, ()),
-    _mk(StarTag.INDEFINITE, "h_zero_b_1", 9, 2, ("b",)),
-    _mk(StarTag.INDEFINITE, "h_one_plus_de", 9, 2, ("d", "theta")),
+    FamilySpec(StarTag.INDEFINITE, "zero", 5, 0, (0, 0, 0)),
+    FamilySpec(StarTag.INDEFINITE, "d0_plus_d", 8, -1, ("d0", 0, "d")),
+    FamilySpec(StarTag.INDEFINITE, "antidiag_b", 8, 2, (0, "b", 0)),
+    FamilySpec(StarTag.INDEFINITE, "a_lt_d", 9, 2, ("a", 0, "d")),
+    FamilySpec(StarTag.INDEFINITE, "h_one_plus_0", 8, 1, (1, 0, 0)),
+    FamilySpec(StarTag.INDEFINITE, "h_zero_b_1", 9, 2, (0, "b", 1)),
+    FamilySpec(StarTag.INDEFINITE, "h_one_plus_de", 9, 2, (1, 0, "d@theta")),
     # a_family unimodular  (A = diag(1, e^{i theta}))
-    _mk(StarTag.UNIMODULAR, "zero", 7, 0, ("theta",)),
-    _mk(StarTag.UNIMODULAR, "a_plus_0", 8, 1, ("theta", "a")),
-    _mk(StarTag.UNIMODULAR, "zero_plus_d", 8, 1, ("theta", "d")),
-    _mk(StarTag.UNIMODULAR, "antidiag_b", 8, 2, ("theta", "b")),
-    _mk(StarTag.UNIMODULAR, "a_b_0", 9, 2, ("theta", "a", "b")),
-    _mk(StarTag.UNIMODULAR, "zero_b_d", 9, 2, ("theta", "b", "d")),
-    _mk(StarTag.UNIMODULAR, "generic", 9, -1, ("theta", "a", "r", "phi", "d")),
+    FamilySpec(StarTag.UNIMODULAR, "zero", 7, 0, (0, 0, 0)),
+    FamilySpec(StarTag.UNIMODULAR, "a_plus_0", 8, 1, ("a", 0, 0)),
+    FamilySpec(StarTag.UNIMODULAR, "zero_plus_d", 8, 1, (0, 0, "d")),
+    FamilySpec(StarTag.UNIMODULAR, "antidiag_b", 8, 2, (0, "b", 0)),
+    FamilySpec(StarTag.UNIMODULAR, "a_b_0", 9, 2, ("a", "b", 0)),
+    FamilySpec(StarTag.UNIMODULAR, "zero_b_d", 9, 2, (0, "b", "d")),
+    FamilySpec(StarTag.UNIMODULAR, "generic", 9, -1, ("a", "r@phi", "d")),
     # a_family reciprocal  (A = [[0,1],[tau,0]])
-    _mk(StarTag.RECIPROCAL, "zero", 7, 0, ("tau",)),
-    _mk(StarTag.RECIPROCAL, "antidiag_b", 8, 2, ("tau", "b")),
-    _mk(StarTag.RECIPROCAL, "one_plus_zeta", 9, -1, ("tau", "zeta")),
-    _mk(StarTag.RECIPROCAL, "zero_plus_1", 9, 1, ("tau",)),
-    _mk(StarTag.RECIPROCAL, "generic", 9, -1, ("tau", "phi", "b", "zeta")),
-    _mk(StarTag.RECIPROCAL, "zero_b_eiphi", 9, 2, ("tau", "b", "phi")),
+    FamilySpec(StarTag.RECIPROCAL, "zero", 7, 0, (0, 0, 0)),
+    FamilySpec(StarTag.RECIPROCAL, "antidiag_b", 8, 2, (0, "b", 0)),
+    FamilySpec(StarTag.RECIPROCAL, "one_plus_zeta", 9, -1, (1, 0, "zeta")),
+    FamilySpec(StarTag.RECIPROCAL, "zero_plus_1", 9, 1, (0, 0, 1)),
+    FamilySpec(StarTag.RECIPROCAL, "generic", 9, -1, ("@phi", "b", "zeta")),
+    FamilySpec(StarTag.RECIPROCAL, "zero_b_eiphi", 9, 2, (0, "b", "@phi")),
     # a_family jordan  (A = [[0,1],[1,i]])
-    _mk(StarTag.JORDAN, "zero", 7, 0, ()),
-    _mk(StarTag.JORDAN, "zero_plus_d", 8, 1, ("d",)),
-    _mk(StarTag.JORDAN, "antidiag_b", 9, 2, ("b",)),
-    _mk(StarTag.JORDAN, "a_plus_zeta", 9, -1, ("a", "zeta")),
+    FamilySpec(StarTag.JORDAN, "zero", 7, 0, (0, 0, 0)),
+    FamilySpec(StarTag.JORDAN, "zero_plus_d", 8, 1, (0, 0, "d")),
+    FamilySpec(StarTag.JORDAN, "antidiag_b", 9, 2, (0, "b", 0)),
+    FamilySpec(StarTag.JORDAN, "a_plus_zeta", 9, -1, ("a", 0, "zeta")),
 ]
 
 FAMILIES = {(f.a_family, f.b_form): f for f in _F}
@@ -167,8 +199,6 @@ def _check_ranges(cls: OrbitClass):
             raise ValueError(f"{name} must be a positive real, got {p[name]}")
     for name in ("a", "b", "d"):
         if name in p:
-            if cls.key() == (StarTag.JORDAN, "a_plus_zeta") and name == "d":
-                continue
             pos(name)
     if "theta" in p and not (0.0 < float(np.real(p["theta"])) < pi):
         raise ValueError("theta must lie in (0, pi)")
@@ -192,86 +222,62 @@ def _check_ranges(cls: OrbitClass):
 # representatives
 # ---------------------------------------------------------------------------
 
-def _a_matrix(cls: OrbitClass) -> np.ndarray:
+def star_of(cls: OrbitClass) -> StarClass:
+    """The vertex family of the A part, with its parameter."""
     t = cls.a_family
-    if t == StarTag.ZERO:
-        return np.zeros((2, 2), dtype=complex)
-    if t == StarTag.RANK1_SEMIDEF:
-        return np.diag([1.0 + 0j, 0.0])
-    if t == StarTag.RANK1_NILPOTENT:
-        return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    if t == StarTag.DEFINITE:
-        return np.eye(2, dtype=complex)
-    if t == StarTag.INDEFINITE:
-        if cls.b_form.startswith("h_"):
-            return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        return np.diag([1.0 + 0j, -1.0])
     if t == StarTag.UNIMODULAR:
-        return np.diag([1.0 + 0j, np.exp(1j * float(np.real(cls.params["theta"])))])
+        return StarClass(t, theta=float(np.real(cls.params["theta"])))
     if t == StarTag.RECIPROCAL:
-        return np.array([[0.0, 1.0], [float(np.real(cls.params["tau"])), 0.0]],
-                        dtype=complex)
-    if t == StarTag.JORDAN:
-        return np.array([[0.0, 1.0], [1.0, 1j]])
-    raise ValueError(t)
+        return StarClass(t, tau=float(np.real(cls.params["tau"])))
+    return StarClass(t)
 
 
-def _b_matrix(cls: OrbitClass) -> np.ndarray:
-    p = {k: complex(v) for k, v in cls.params.items()}
-    f = cls.b_form
-    def sym(b11, b12, b22):
-        return np.array([[b11, b12], [b12, b22]], dtype=complex)
-    if f == "zero":
-        return np.zeros((2, 2), dtype=complex)
-    if f == "rank1" or f == "one_plus_0" or f == "h_one_plus_0":
-        return np.diag([1.0 + 0j, 0.0])
-    if f == "full":
-        return np.eye(2, dtype=complex)
-    if f == "a_plus_0":
-        return np.diag([p["a"], 0.0])
-    if f == "zero_plus_1":
-        return np.diag([0.0 + 0j, 1.0])
-    if f == "antidiag_1":
-        return sym(0.0, 1.0, 0.0)
-    if f == "a_plus_1":
-        return np.diag([p["a"], 1.0])
-    if f == "antidiag_b":
-        return sym(0.0, p["b"], 0.0)
-    if f == "zeta_b_1":
-        return sym(p["zeta"], p["b"], 1.0)
-    if f == "one_b_0":
-        return sym(1.0, p["b"], 0.0)
-    if f == "d0_plus_d":
-        return np.diag([p["d0"], p["d"]])
-    if f == "a_lt_d":
-        return np.diag([p["a"], p["d"]])
-    if f == "h_zero_b_1":
-        return sym(0.0, p["b"], 1.0)
-    if f == "h_one_plus_de":
-        return np.diag([1.0 + 0j, p["d"] * np.exp(1j * p["theta"].real)])
-    if f == "zero_plus_d":
-        return np.diag([0.0 + 0j, p["d"]])
-    if f == "a_b_0":
-        return sym(p["a"], p["b"], 0.0)
-    if f == "zero_b_d":
-        return sym(0.0, p["b"], p["d"])
-    if f == "generic" and cls.a_family == StarTag.UNIMODULAR:
-        off = p["r"] * np.exp(1j * p["phi"].real)
-        return sym(p["a"], off, p["d"])
-    if f == "one_plus_zeta":
-        return np.diag([1.0 + 0j, p["zeta"]])
-    if f == "generic" and cls.a_family == StarTag.RECIPROCAL:
-        return sym(np.exp(1j * p["phi"].real), p["b"], p["zeta"])
-    if f == "zero_b_eiphi":
-        return sym(0.0, p["b"], np.exp(1j * p["phi"].real))
-    if f == "a_plus_zeta":
-        return np.diag([p["a"], p["zeta"]])
-    raise ValueError(f)
+_H = Complex2x2([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _slot_value(slot, p):
+    if not isinstance(slot, str):
+        return complex(slot)
+    mod, _, angle = slot.partition("@")
+    if not angle:
+        return p[mod]
+    unit = np.exp(1j * p[angle].real)
+    return p[mod] * unit if mod else unit
 
 
 def representative(cls: OrbitClass) -> MatrixPair:
     """The exact normal-form pair of the family at these parameters."""
-    return MatrixPair(Complex2x2(_a_matrix(cls)), Sym2x2.symmetrize(_b_matrix(cls)))
+    A = _H if cls.b_form.startswith("h_") else star_representative(star_of(cls))
+    p = {k: complex(v) for k, v in cls.params.items()}
+    b11, b12, b22 = (_slot_value(s, p) for s in FAMILIES[cls.key()].b_slots)
+    return MatrixPair(A, Sym2x2([[b11, b12], [b12, b22]]))
+
+
+def read_back(cls: OrbitClass, B: np.ndarray, tol: float) -> OrbitClass:
+    """The member of cls's family whose B slots are read off B, a B already
+    reduced to the family's layout; the A parameter is kept.  d0 stays 0 or
+    becomes the mean of |B11| and |B22|, a_lt_d sorts (a, d), phi is folded
+    into [0, pi) and read as 0 where its modulus r is at most tol, and
+    theta in (0, pi) is read as |arg|."""
+    spec = FAMILIES[cls.key()]
+    p = dict(cls.params)
+    for slot, (i, j) in zip(spec.b_slots, _SLOT_IJ):
+        if not isinstance(slot, str) or slot == "d0":
+            continue
+        b = B[i, j]
+        mod, _, angle = slot.partition("@")
+        if mod:
+            p[mod] = b if mod == "zeta" else abs(b)
+        if angle == "theta":
+            p[angle] = abs(np.angle(b))
+        elif angle:
+            p[angle] = float(np.mod(np.angle(b), np.pi)) \
+                if not mod or p[mod] > tol else 0.0
+    if p.get("d0", 0.0) != 0.0:
+        p["d0"] = p["d"] = 0.5 * (abs(B[0, 0]) + abs(B[1, 1]))
+    if spec.b_form == "a_lt_d":
+        p["a"], p["d"] = sorted([p["a"], p["d"]])
+    return OrbitClass(cls.a_family, cls.b_form, p)
 
 
 def family_of(a_family: str, b_form: str, **params) -> OrbitClass:

@@ -19,8 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congruence import StarTag, _sqrtm_2x2, classify_star, classify_tcong, takagi
-from .families import OrbitClass, representative
+from .congruence import (
+    StarTag,
+    _rank,
+    _sqrtm_2x2,
+    classify_star,
+    classify_tcong,
+    takagi,
+)
+from .families import FAMILIES, OrbitClass, read_back, representative
 from .matcore import (
     DEFAULT_TOL,
     GroupElement,
@@ -381,8 +388,7 @@ def _classify_b_jordan(B1, tol, scale):
 def _classify_b_indefinite(B1, tol, scale):
     """Decide among the seven indefinite-column forms via the similarity
     invariant K = J conj(B) J B, then build a reducer from its eigenvectors."""
-    s = np.linalg.svd(B1, compute_uv=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
+    rank = _rank(B1, tol)
     K = _J @ B1.conj() @ _J @ B1
     if rank == 0:
         return OrbitClass(StarTag.INDEFINITE, "zero", {}), _gel(1.0, np.eye(2))
@@ -582,7 +588,7 @@ def _reduce_indef_hside(B1, K, cls):
 
 
 # ---------------------------------------------------------------------------
-# polish: structural least squares, then parameter re-extraction
+# polish: structural least squares, then parameter read-back
 # ---------------------------------------------------------------------------
 
 def _pack(g: GroupElement):
@@ -594,32 +600,6 @@ def _unpack(x):
     P = x[1:].view(complex).reshape(2, 2).copy()
     return c, P
 
-
-_FREE_SLOTS = {
-    # per b_form: which of the six real B coordinates (re11, im11, re12,
-    # im12, re22, im22) are free (parameters live there)
-    "zero": (),
-    "rank1": (), "one_plus_0": (), "h_one_plus_0": (),
-    "full": (),
-    "a_plus_0": (0,),
-    "zero_plus_1": (),
-    "antidiag_1": (),
-    "a_plus_1": (0,),
-    "antidiag_b": (2,),
-    "zeta_b_1": (0, 1, 2),
-    "one_b_0": (2,),
-    "d0_plus_d": (0, 4),
-    "a_lt_d": (0, 4),
-    "h_zero_b_1": (2,),
-    "h_one_plus_de": (4, 5),
-    "zero_plus_d": (4,),
-    "a_b_0": (0, 2),
-    "zero_b_d": (2, 4),
-    "generic": (0, 2, 3, 4),
-    "one_plus_zeta": (4, 5),
-    "zero_b_eiphi": (2, 4, 5),
-    "a_plus_zeta": (0, 4, 5),
-}
 
 def _b_coords(B):
     """The six real B coordinates; along the first axis for a stack of B."""
@@ -663,13 +643,10 @@ def _real_rows(dM):
 
 
 def _structural_residual(pair, cls, A_nf):
-    """Residual and Jacobian pinning only the structurally fixed coordinates."""
-    free = set(_FREE_SLOTS[cls.b_form])
-    unit_slot = cls.key() == (StarTag.RECIPROCAL, "generic")
-    if unit_slot:
-        # b and zeta are free, and |B11| = 1 replaces the fixed B11
-        free = {0, 1, 2, 4, 5}
-    pinned = [i for i in range(6) if i not in free]
+    """Residual and Jacobian pinning only the structurally fixed coordinates
+    (FamilySpec.b_pins): A, the constant and positive B slots, and |b| = 1
+    on the unit-modulus slots."""
+    pinned, units = FAMILIES[cls.key()].b_pins()
     tgt = _b_coords(representative(cls).B.m)[pinned]
     A, Bm = pair.A.m, pair.B.m
 
@@ -677,67 +654,13 @@ def _structural_residual(pair, cls, A_nf):
         At, Bt, dA, dB = _act_jac(x, A, Bm)
         r = [(At - A_nf).view(float).ravel(), _b_coords(Bt)[pinned] - tgt]
         J = [_real_rows(dA), _b_coords(dB)[pinned]]
-        if unit_slot:
-            b11, db11 = Bt[0, 0], dB[:, 0, 0]
-            r.append([abs(b11) - 1.0])
-            J.append([np.real(np.conj(b11) * db11) / max(abs(b11), 1e-300)])
+        for i, j in units:
+            b, db = Bt[i, j], dB[:, i, j]
+            r.append([abs(b) - 1.0])
+            J.append([np.real(np.conj(b) * db) / max(abs(b), 1e-300)])
         return np.concatenate(r), np.vstack(J)
 
     return fun
-
-
-def _extract_params(cls, Bfinal, tol):
-    """Re-read the family parameters off the converged P^T B P."""
-    b1, b2, b3 = Bfinal[0, 0], Bfinal[0, 1], Bfinal[1, 1]
-    p = dict(cls.params)
-    f = cls.b_form
-    if f in ("a_plus_0", "a_plus_1"):
-        p["a"] = abs(b1)
-    elif f in ("antidiag_b",):
-        p["b"] = abs(b2)
-    elif f == "zeta_b_1":
-        p["zeta"] = b1
-        p["b"] = abs(b2)
-    elif f == "one_b_0":
-        p["b"] = abs(b2)
-    elif f == "d0_plus_d":
-        if p["d0"] == 0.0:
-            p["d"] = abs(b3)
-        else:
-            m = 0.5 * (abs(b1) + abs(b3))
-            p["d0"] = m
-            p["d"] = m
-    elif f == "a_lt_d":
-        a, d = sorted([abs(b1), abs(b3)])
-        p["a"], p["d"] = a, d
-    elif f == "h_zero_b_1":
-        p["b"] = abs(b2)
-    elif f == "h_one_plus_de":
-        p["d"] = abs(b3)
-        p["theta"] = abs(np.angle(b3))
-    elif f == "zero_plus_d":
-        p["d"] = abs(b3)
-    elif f == "a_b_0":
-        p["a"], p["b"] = abs(b1), abs(b2)
-    elif f == "zero_b_d":
-        p["b"], p["d"] = abs(b2), abs(b3)
-    elif f == "generic" and cls.a_family == StarTag.UNIMODULAR:
-        p["a"], p["d"] = abs(b1), abs(b3)
-        p["r"] = abs(b2)
-        p["phi"] = float(np.mod(np.angle(b2), np.pi)) if p["r"] > tol else 0.0
-    elif f == "one_plus_zeta":
-        p["zeta"] = b3
-    elif f == "generic" and cls.a_family == StarTag.RECIPROCAL:
-        p["phi"] = float(np.mod(np.angle(b1), np.pi))
-        p["b"] = abs(b2)
-        p["zeta"] = b3
-    elif f == "zero_b_eiphi":
-        p["b"] = abs(b2)
-        p["phi"] = float(np.mod(np.angle(b3), np.pi))
-    elif f == "a_plus_zeta":
-        p["a"] = abs(b1)
-        p["zeta"] = b3
-    return OrbitClass(cls.a_family, cls.b_form, p)
 
 
 def _polish(pair, cls, g, tol):
@@ -745,7 +668,7 @@ def _polish(pair, cls, g, tol):
     # representative to machine precision already
     Bf = g.P.T @ pair.B.m @ g.P
     try:
-        cls0 = _extract_params(cls, 0.5 * (Bf + Bf.T), tol)
+        cls0 = read_back(cls, 0.5 * (Bf + Bf.T), tol)
         r0 = pair_distance(act_pair(g, pair), representative(cls0))
         if r0 <= 1e-10:
             return cls0, g, r0
@@ -759,7 +682,7 @@ def _polish(pair, cls, g, tol):
     if abs(np.linalg.det(P)) > 1e-12:
         Bf = P.T @ pair.B.m @ P
         try:
-            cls2 = _extract_params(cls, 0.5 * (Bf + Bf.T), tol)
+            cls2 = read_back(cls, 0.5 * (Bf + Bf.T), tol)
         except ValueError:
             cls2 = None
         if cls2 is not None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congruence import StarTag
-from .families import FAMILIES, OrbitClass, representative
+from .families import FAMILIES, OrbitClass, representative, star_of
 from .matcore import (
     GroupElement,
     MatrixPair,
@@ -31,7 +31,7 @@ from .matcore import (
     max_norm,
     pair_distance,
 )
-from .pairnf import _QJH
+from .pairnf import _QJH, _gel
 
 __all__ = ["WitnessFamily", "ConvergenceReport", "DivergenceDetected",
            "PerturbReport", "witness_catalog", "verify_witness",
@@ -218,11 +218,6 @@ def _z1_witness(dst: OrbitClass, name, citation, seed=0):
 # closed-form curves
 # ---------------------------------------------------------------------------
 
-def _g(c, P):
-    c = complex(c)
-    return GroupElement(c / abs(c), np.asarray(P, dtype=complex))
-
-
 def _catalog_closed_form():
     """Hand-derived closed-form witnesses (corrected where the received
     variant fails; see TRIAGED)."""
@@ -240,7 +235,7 @@ def _catalog_closed_form():
                     (OrbitClass(D, "zero", {}), "D"),
                     (OrbitClass(E, "zero", {}), "E")]:
         add(f"diag-shrink->{nm}", s0, dst,
-            lambda s: _g(1.0, [[1.0, 0.0], [0.0, s]]),
+            lambda s: _gel(1.0, [[1.0, 0.0], [0.0, s]]),
             "P(s) = 1 (+) s with c = 1 realizes 1+0 -> 1 (+) lambda")
 
     # column collapse: 1+0 -> [[0,1],[tau,0]]
@@ -248,13 +243,13 @@ def _catalog_closed_form():
                      (0.0, OrbitClass(N, "zero", {}))]:
         g0 = 1.0 / np.sqrt(1.0 + tau)
         add(f"column-collapse tau={tau}", s0, dst,
-            lambda s, g0=g0: _g(1.0, [[g0, 0.0], [g0, g0 * s]]),
+            lambda s, g0=g0: _gel(1.0, [[g0, 0.0], [g0, g0 * s]]),
             "P(s) = (1+tau)^{-1/2} [[1,0],[1,s]] realizes 1+0 -> "
             "[[0,1],[tau,0]]")
 
     # indefinite -> Jordan-type, P = (1/2) [[1/s, 1/s],[s, -s]]
     add("indef->jordan", e0, OrbitClass(J, "zero", {}),
-        lambda s: _g(1.0, np.sqrt(0.5) * np.array(
+        lambda s: _gel(1.0, np.sqrt(0.5) * np.array(
             [[1.0 / s, 1.0 / s], [s, -s]])),
         "P(s) = 2^{-1/2} [[1/s, 1/s],[s, -s]] realizes 1 (+) -1 -> "
         "[[0,1],[1,i]] (a 1/2 prefactor lands on (1/2)(1 (+) -1), an orbit "
@@ -266,24 +261,24 @@ def _catalog_closed_form():
         add("tau-antidiag->generic(zeta=0)", src,
             OrbitClass(R, "generic",
                        {"tau": tau, "phi": 0.9, "b": 0.8, "zeta": 0j}),
-            lambda s: _g(1.0, [[s, s * s], [0.0, 1.0 / s]]),
+            lambda s: _gel(1.0, [[s, s * s], [0.0, 1.0 / s]]),
             "P(s) = [[s, s^2],[0, 1/s]] fills the (1,1) entry of B")
         add("tau-antidiag->zero_b_eiphi", src,
             OrbitClass(R, "zero_b_eiphi", {"tau": tau, "b": 0.8, "phi": 1.2}),
-            lambda s: _g(1.0, [[1.0 / s, 0.0], [s * s, s]]),
+            lambda s: _gel(1.0, [[1.0 / s, 0.0], [s * s, s]]),
             "P(s) = [[1/s, 0],[s^2, s]] fills the (2,2) entry of B")
     srcn = OrbitClass(N, "antidiag_b", {"b": 1.1})
     add("nilp-antidiag->one_b_0", srcn, OrbitClass(N, "one_b_0", {"b": 1.1}),
-        lambda s: _g(1.0, [[s, s * s], [0.0, 1.0 / s]]),
+        lambda s: _gel(1.0, [[s, s * s], [0.0, 1.0 / s]]),
         "tau = 0 case of the (1,1)-filling curve")
     add("nilp-antidiag->zeta_b_1(zeta=0)", srcn,
         OrbitClass(N, "zeta_b_1", {"zeta": 0j, "b": 1.1}),
-        lambda s: _g(1.0, [[1.0 / s, 0.0], [s * s, s]]),
+        lambda s: _gel(1.0, [[1.0 / s, 0.0], [s * s, s]]),
         "tau = 0 case of the (2,2)-filling curve")
 
     # (1 (+) -1, 0_2) -> ([[0,1],[1,i]], 0 (+) d)
     add("indef0->jordan-0d", e0, OrbitClass(J, "zero_plus_d", {"d": 1.4}),
-        lambda s: _g(1.0, [[0.5 / s, -0.5 / s], [s, s]]),
+        lambda s: _gel(1.0, [[0.5 / s, -0.5 / s], [s, s]]),
         "P(s) = [[1/(2s), -1/(2s)],[s, s]] with c = 1")
 
     # (1 (+) -1, b I_2) -> ([[0,1],[1,i]], [[0,b],[b,0]])
@@ -291,13 +286,13 @@ def _catalog_closed_form():
     add("indef-scalar->jordan-antidiag",
         OrbitClass(E, "d0_plus_d", {"d0": b, "d": b}),
         OrbitClass(J, "antidiag_b", {"b": b}),
-        lambda s, b=b: _g(-1.0, np.sqrt(0.5) * np.array(
+        lambda s, b=b: _gel(-1.0, np.sqrt(0.5) * np.array(
             [[1j / s, 1.0 / s], [-1j * s, s]])),
         "c = -1, P(s) = 2^{-1/2} [[i/s, 1/s],[-i s, s]]")
 
     # (1 (+) -1, 0_2) -> ([[0,1],[1,0]], 1 (+) 0)   [corrected curve]
     add("indef0->H-rank1", e0, OrbitClass(E, "h_one_plus_0", {}),
-        lambda s: _g(1.0, [[s, -s], [0.5 / s, 0.5 / s]]),
+        lambda s: _gel(1.0, [[s, -s], [0.5 / s, 0.5 / s]]),
         "reconstruction of a curve whose received variant fails (TRIAGED): "
         "P(s) = [[s, -s],[1/(2s), 1/(2s)]]")
 
@@ -305,7 +300,7 @@ def _catalog_closed_form():
     add("indef-I2->H-zero_b_1",
         OrbitClass(E, "d0_plus_d", {"d0": 1.0, "d": 1.0}),
         OrbitClass(E, "h_zero_b_1", {"b": 1.0}),
-        lambda s: _g(1.0, [[0.5 / s, -0.5j / s], [s, 1j * s]]),
+        lambda s: _gel(1.0, [[0.5 / s, -0.5j / s], [s, 1j * s]]),
         "received variant without its 1/2 prefactor (see TRIAGED)")
 
     # (0_2, 1+0) -> indefinite targets, P = (sum)^{-1/2} [[1,0],[1,s]]
@@ -317,7 +312,7 @@ def _catalog_closed_form():
         tot = Bt[0, 0] + Bt[1, 1] + 2.0 * Bt[0, 1]
         g0 = 1.0 / np.sqrt(complex(tot))
         add(f"zero-rank1->indef-{nm}", z1, dst,
-            lambda s, g0=g0: _g(1.0, [[g0, 0.0], [g0, g0 * s]]),
+            lambda s, g0=g0: _gel(1.0, [[g0, 0.0], [g0, g0 * s]]),
             "P(s) = (a+d+2b)^{-1/2} [[1,0],[1,s]] from the theta = pi row")
     # same curve transported to the H-representative targets (the
     # [[0,b],[b,1]] form has a vanishing normalizer here and is covered by
@@ -333,7 +328,7 @@ def _catalog_closed_form():
         g0 = 1.0 / np.sqrt(tot)
 
         def curve(s, g0=g0):
-            w = _g(1.0, [[g0, 0.0], [g0, g0 * s]])
+            w = _gel(1.0, [[g0, 0.0], [g0, g0 * s]])
             return compose(w, group_inverse(_G_JH))
         add(f"zero-rank1->indef-{nm}", z1, dst, curve,
             "theta = pi row curve conjugated to the [[0,1],[1,0]] "
@@ -342,7 +337,7 @@ def _catalog_closed_form():
     # (0_2, 1+0) -> ([[0,1],[1,i]], [[0,b],[b,0]])
     b = 0.8
     add("zero-rank1->jordan-antidiag", z1, OrbitClass(J, "antidiag_b", {"b": b}),
-        lambda s, b=b: _g(1.0, ((1.0 + 1j) / (2.0 * np.sqrt(b))) * np.array(
+        lambda s, b=b: _gel(1.0, ((1.0 + 1j) / (2.0 * np.sqrt(b))) * np.array(
             [[1.0 / s, s * s], [-1j * s, s * s]])),
         "P(s) = (1+i)/(2 sqrt(b)) [[1/s, s^2],[-i s, s^2]]")
 
@@ -350,7 +345,7 @@ def _catalog_closed_form():
     a = 1.2
     add("zero-rank1->jordan-diag", z1,
         OrbitClass(J, "a_plus_zeta", {"a": a, "zeta": 0.4 - 0.7j}),
-        lambda s, a=a: _g(1.0, [[1.0 / np.sqrt(a), 0.0], [0.0, s]]),
+        lambda s, a=a: _gel(1.0, [[1.0 / np.sqrt(a), 0.0], [0.0, s]]),
         "P(s) = a^{-1/2} (+) s")
 
     # (0_2, 1+0) -> tau-column targets through the diagonal curves
@@ -364,35 +359,35 @@ def _catalog_closed_form():
         b11 = representative(dst).B.m[0, 0]
         g0 = 1.0 / np.sqrt(complex(b11))
         add(f"zero-rank1->tau-{dst.b_form}", z1, dst,
-            lambda s, g0=g0: _g(1.0, [[g0, 0.0], [0.0, s]]),
+            lambda s, g0=g0: _gel(1.0, [[g0, 0.0], [0.0, s]]),
             "P(s) = B11^{-1/2} (+) s")
     for dst in [OrbitClass(R, "zero_b_eiphi", {"tau": tau, "b": 0.9, "phi": 2.1}),
                 OrbitClass(R, "zero_plus_1", {"tau": tau})]:
         b22 = representative(dst).B.m[1, 1]
         g0 = 1.0 / np.sqrt(complex(b22))
         add(f"zero-rank1->tau-{dst.b_form}", z1, dst,
-            lambda s, g0=g0: _g(1.0, [[0.0, s], [g0, 0.0]]),
+            lambda s, g0=g0: _gel(1.0, [[0.0, s], [g0, 0.0]]),
             "P(s) = [[0, s],[B22^{-1/2}, 0]]")
 
     # (0_2, 1+0) -> (1+0, a (+) 1) and -> (1+0, [[0,1],[1,0]])
     add("zero-rank1->semidef-a1", z1,
         OrbitClass(S, "a_plus_1", {"a": 0.9}),
-        lambda s: _g(1.0, [[s, s], [1.0, s]]),
+        lambda s: _gel(1.0, [[s, s], [1.0, s]]),
         "P(s) = [[s, s],[1, s]]")
     add("zero-rank1->semidef-01", z1, OrbitClass(S, "zero_plus_1", {}),
-        lambda s: _g(1.0, [[s, s], [1.0, s]]),
+        lambda s: _gel(1.0, [[s, s], [1.0, s]]),
         "a = 0 case of P(s) = [[s, s],[1, s]]")
     add("zero-rank1->semidef-antidiag", z1, OrbitClass(S, "antidiag_1", {}),
-        lambda s: _g(1.0, np.sqrt(0.5) * np.array(
+        lambda s: _gel(1.0, np.sqrt(0.5) * np.array(
             [[s, s * s], [1.0 / s, s * s]])),
         "P(s) = 2^{-1/2} [[s, s^2],[1/s, s^2]]")
     add("zero-full->semidef-antidiag", OrbitClass(Z, "full", {}),
         OrbitClass(S, "antidiag_1", {}),
-        lambda s: _g(1.0, np.sqrt(0.5) * np.array(
+        lambda s: _gel(1.0, np.sqrt(0.5) * np.array(
             [[s, 1j * s], [1.0 / s, -1j / s]])),
         "P(s) = 2^{-1/2} [[s, is],[1/s, -i/s]]")
     add("zero-rank1->zero-full", z1, OrbitClass(Z, "full", {}),
-        lambda s: _g(1.0, [[1.0, 0.0], [0.0, s]]),
+        lambda s: _gel(1.0, [[1.0, 0.0], [0.0, s]]),
         "T-congruence rank chain: diag(1, s) shrinks I_2 to 1 (+) 0")
 
     # (1+0, a~+0) -> ([[0,1],[1,0]], 1+0), signed-p reconstruction
@@ -402,17 +397,17 @@ def _catalog_closed_form():
 
             def curve(s):
                 p = 1.0 / s
-                w = _g(1.0, [[np.sqrt(p * p + 1.0), 0.0], [-p, s * s]])
-                return compose(w, group_inverse(_g(1.0, [[0.5, 1.0],
-                                                         [0.5, -1.0]])))
+                w = _gel(1.0, [[np.sqrt(p * p + 1.0), 0.0], [-p, s * s]])
+                return compose(w, group_inverse(_gel(1.0, [[0.5, 1.0],
+                                                           [0.5, -1.0]])))
         else:
             src = OrbitClass(S, "a_plus_0", {"a": atil})
             p = (1.0 - atil) / (2.0 * np.sqrt(atil))
 
             def curve(s, p=p):
-                w = _g(1.0, [[np.sqrt(p * p + 1.0), 0.0], [-p, s * s]])
-                return compose(w, group_inverse(_g(1.0, [[0.5, 1.0],
-                                                         [0.5, -1.0]])))
+                w = _gel(1.0, [[np.sqrt(p * p + 1.0), 0.0], [-p, s * s]])
+                return compose(w, group_inverse(_gel(1.0, [[0.5, 1.0],
+                                                           [0.5, -1.0]])))
         add(f"semidef-a{atil}->H-rank1", src, OrbitClass(E, "h_one_plus_0", {}),
             curve,
             "P(s) = [[sqrt(p^2+1), 0],[-p, s^2]], signed p = (1-a~)/(2 "
@@ -423,14 +418,14 @@ def _catalog_closed_form():
     add("semidef->definite-branch1",
         OrbitClass(S, "a_plus_0", {"a": 0.5}),
         OrbitClass(D, "a_lt_d", {"a": 1.0, "d": 2.0}),
-        lambda s: _g(1.0, (1.0 / np.sqrt(3.0)) * np.array(
+        lambda s: _gel(1.0, (1.0 / np.sqrt(3.0)) * np.array(
             [[np.sqrt(0.5 + 2.0), 0.0], [1j * np.sqrt(1.0 - 0.5), s]])),
         "theta = 0 branch P(s) = (a+d)^{-1/2}[[sqrt(a~+d), 0],"
         "[i sqrt(a-a~), s]] for a~ <= a <= d")
     add("semidef->indef-branch2",
         OrbitClass(S, "a_plus_0", {"a": 1.5}),
         OrbitClass(E, "a_lt_d", {"a": 1.0, "d": 2.0}),
-        lambda s: _g(1.0, (1.0 / np.sqrt(3.0)) * np.array(
+        lambda s: _gel(1.0, (1.0 / np.sqrt(3.0)) * np.array(
             [[np.sqrt(2.0 + 1.5), 0.0], [np.sqrt(1.5 - 1.0), s]])),
         "theta = pi branch P(s) = (d+a)^{-1/2}[[sqrt(d+a~), 0],"
         "[sqrt(a~-a), s]] for a~ >= a")
@@ -442,7 +437,7 @@ def _catalog_closed_form():
     uw = np.sqrt((-b + rt) / (2 * b))
     add("semidef->indef-antidiag", OrbitClass(S, "a_plus_0", {"a": atil}),
         OrbitClass(E, "antidiag_b", {"b": b}),
-        lambda s, xw=xw, uw=uw: _g(1.0, [[xw, s], [uw, s]]),
+        lambda s, xw=xw, uw=uw: _gel(1.0, [[xw, s], [uw, s]]),
         "x^2 = (b + sqrt(b^2+a~^2))/(2b), u^2 = (-b + sqrt(b^2+a~^2))/(2b), "
         "y = v = s")
 
@@ -450,7 +445,7 @@ def _catalog_closed_form():
     atil, b = 0.9, 0.6
     add("semidef->jordan-antidiag", OrbitClass(S, "a_plus_0", {"a": atil}),
         OrbitClass(J, "antidiag_b", {"b": b}),
-        lambda s, atil=atil, b=b: _g(-1j, np.sqrt(0.5) * np.array(
+        lambda s, atil=atil, b=b: _gel(-1j, np.sqrt(0.5) * np.array(
             [[(atil / (2 * b)) * (1 - 1j), s], [1 + 1j, s]])),
         "c = -i, P(s) = 2^{-1/2} [[(a~/2b)(1-i), s],[1+i, s]]")
 
@@ -458,19 +453,19 @@ def _catalog_closed_form():
     atil, a = 1.1, 0.7
     add("semidef->jordan-a0", OrbitClass(S, "a_plus_0", {"a": atil}),
         OrbitClass(J, "a_plus_zeta", {"a": a, "zeta": 0j}),
-        lambda s, atil=atil, a=a: _g(-1j, [[np.sqrt(atil / a), s],
-                                             [1j, 0.0]]),
+        lambda s, atil=atil, a=a: _gel(-1j, [[np.sqrt(atil / a), s],
+                                               [1j, 0.0]]),
         "c = -i, P(s) = [[sqrt(a~/a), s],[i, 0]]")
 
     # (1+0, 0_2) and (1+0, a~+0) -> ([[0,1],[1,i]], 0 (+) d), a~ <= d
     add("semidef0->jordan-0d", s0, OrbitClass(J, "zero_plus_d", {"d": 0.9}),
-        lambda s: _g(1.0, np.sqrt(0.5) * np.array([[1.0 / s, s], [s, 0.0]])),
+        lambda s: _gel(1.0, np.sqrt(0.5) * np.array([[1.0 / s, s], [s, 0.0]])),
         "P(s) = 2^{-1/2} [[1/s, s],[s, 0]] with c = 1")
     atil, d = 0.8, 1.6
     w = np.sqrt(d * d - atil * atil)
     add("semidef-a->jordan-0d", OrbitClass(S, "a_plus_0", {"a": atil}),
         OrbitClass(J, "zero_plus_d", {"d": d}),
-        lambda s, w=w, atil=atil, d=d: _g(
+        lambda s, w=w, atil=atil, d=d: _gel(
             (w - 1j * atil) / d,
             (1.0 / (2.0 * np.sqrt(atil * d))) * np.array(
                 [[w, s], [2.0 * atil, 0.0]])),
@@ -484,7 +479,7 @@ def _catalog_closed_form():
         u0 = np.sqrt(complex(atil - a))
         add(f"semidef-a{atil}->a_plus_1", src,
             OrbitClass(S, "a_plus_1", {"a": a}),
-            lambda s, u0=u0: _g(1.0, [[1.0, 0.0], [u0, s]]),
+            lambda s, u0=u0: _gel(1.0, [[1.0, 0.0], [u0, s]]),
             "P(s) = [[1, 0],[sqrt(a~-a), s]]")
 
     # (1+0, a~+0) -> ([[0,1],[tau,0]], [[0,b],[b,0]]), interval condition
@@ -501,44 +496,44 @@ def _catalog_closed_form():
     add("semidef->tau-antidiag(interval)",
         OrbitClass(S, "a_plus_0", {"a": atil}),
         OrbitClass(R, "antidiag_b", {"tau": tau, "b": b}),
-        lambda s, cinv=cinv, xw=xw, uw=uw: _g(1.0 / cinv,
-                                                [[xw, 0.0], [uw, s]]),
+        lambda s, cinv=cinv, xw=xw, uw=uw: _gel(1.0 / cinv,
+                                                  [[xw, 0.0], [uw, s]]),
         "first column solves 2 b x u = a~ with conj(x) u on the stabilizer "
         "ellipse; realizes the interval condition")
 
     # (1+0, 0_2) -> rank-1-B targets (large-column constructions)
     add("semidef0->nilp-10", s0, OrbitClass(N, "one_plus_0", {}),
-        lambda s: _g(1.0, [[s, 0.0], [1.0 / s, s]]),
+        lambda s: _gel(1.0, [[s, 0.0], [1.0 / s, s]]),
         "P(s) = [[s, 0],[1/s, s]]: the A column carries the unit product "
         "while B shrinks")
     add("semidef0->nilp-01", s0, OrbitClass(N, "zero_plus_1", {}),
-        lambda s: _g(1.0, [[1.0 / s, s], [s, s * s]]),
+        lambda s: _gel(1.0, [[1.0 / s, s], [s, s * s]]),
         "P(s) = [[1/s, s],[s, s^2]]")
     tau5 = 0.45
     add("semidef0->tau-01", s0, OrbitClass(R, "zero_plus_1", {"tau": tau5}),
-        lambda s: _g(1.0, [[1.0 / ((1.0 + tau5) * s), s], [s, s * s]]),
+        lambda s: _gel(1.0, [[1.0 / ((1.0 + tau5) * s), s], [s, s * s]]),
         "P(s) = [[((1+tau) s)^{-1}, s],[s, s^2]]")
     add("semidef0->H-rank1", s0, OrbitClass(E, "h_one_plus_0", {}),
-        lambda s: _g(1.0, [[s, s * s], [0.5 / s, s]]),
+        lambda s: _gel(1.0, [[s, s * s], [0.5 / s, s]]),
         "P(s) = [[s, s^2],[1/(2s), s]]")
 
     # within-tau rescalings from (tau, 0_2)
     tau = 0.3
     add("tau-zero->one_plus_zeta(0)", OrbitClass(R, "zero", {"tau": tau}),
         OrbitClass(R, "one_plus_zeta", {"tau": tau, "zeta": 0j}),
-        lambda s: _g(1.0, [[s, 0.0], [0.0, 1.0 / s]]),
+        lambda s: _gel(1.0, [[s, 0.0], [0.0, 1.0 / s]]),
         "stabilizer rescaling diag(s, 1/s) shrinks 1 (+) 0")
     add("tau-zero->zero_plus_1", OrbitClass(R, "zero", {"tau": tau}),
         OrbitClass(R, "zero_plus_1", {"tau": tau}),
-        lambda s: _g(1.0, [[1.0 / s, 0.0], [0.0, s]]),
+        lambda s: _gel(1.0, [[1.0 / s, 0.0], [0.0, s]]),
         "stabilizer rescaling diag(1/s, s) shrinks 0 (+) 1")
     add("nilp-zero->one_plus_0", OrbitClass(N, "zero", {}),
         OrbitClass(N, "one_plus_0", {}),
-        lambda s: _g(1.0, [[s, 0.0], [0.0, 1.0 / s]]),
+        lambda s: _gel(1.0, [[s, 0.0], [0.0, 1.0 / s]]),
         "tau = 0 case of the diagonal rescaling")
     add("nilp-zero->zero_plus_1", OrbitClass(N, "zero", {}),
         OrbitClass(N, "zero_plus_1", {}),
-        lambda s: _g(1.0, [[1.0 / s, 0.0], [0.0, s]]),
+        lambda s: _gel(1.0, [[1.0 / s, 0.0], [0.0, s]]),
         "tau = 0 case of the diagonal rescaling")
     return out
 
@@ -569,7 +564,7 @@ def _catalog_solved(covered):
             dst = sample_params(FAMILIES[dk], n=1, seed=11)[0]
             out.append(WitnessFamily(
                 f"origin->{dk[0]}|{dk[1]}", z0, dst,
-                lambda s: _g(1.0, [[s, 0.0], [0.0, s]]),
+                lambda s: _gel(1.0, [[s, 0.0], [0.0, s]]),
                 "P(s) = s I shrinks every pair to (0_2, 0_2)"))
             continue
         if sk not in _SOLVED_SOURCES:
@@ -700,8 +695,7 @@ def _psi1_slack_ok(src: OrbitClass, dst: OrbitClass, kappa: float) -> bool:
     """Psi1 reachability allowing the reached continuous parameter to sit
     within kappa of the source family's boundary value."""
     from .closure import psi1_path
-    from .closure import _star_of
-    if psi1_path(_star_of(src), _star_of(dst)):
+    if psi1_path(star_of(src), star_of(dst)):
         return True
     st, dt = src.a_family, dst.a_family
     th = float(np.real(dst.params.get("theta", 0.0))) if dt == U else None

@@ -135,3 +135,36 @@ def test_no_scipy_import():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
     assert out.stderr.strip() == "[]"
+
+
+JORDAN_OFF_TABLE = json.dumps({
+    "A": [[[0, 0], [1, 0]], [[1, 0], [0, 1]]],
+    "B": [[[1, 0], [0.5, 0]], [[0.5, 0], [0.3, 0.2]]]})
+
+
+def test_bounds_undecided_src_exit_3(capsys):
+    # src has a Jordan-type A and a B outside the tabulated Jordan forms, so
+    # the normal-form reduction of src cannot decide its family
+    code, out, err = run(capsys, "bounds", "--src", JORDAN_OFF_TABLE,
+                         "--dst", PAIR_I_DIAG12)
+    assert code == 3 and out == ""
+    assert err.startswith("undecided:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("jet", "--jet", json.dumps({
+        "A": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+        "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+        "C": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+        "lin_zbar": [0.5, 0]})),
+    ("--tol", "0", "classify", "--pair", PAIR_I_DIAG12),
+    ("--tol", "0", "dim", "--pair", PAIR_I_DIAG12),
+    ("perturb", "--class", json.dumps({"a_family": "zero", "b_form": "zero"}),
+     "--eps", "-1", "--samples", "3"),
+    ("perturb", "--class", json.dumps({"a_family": "zero", "b_form": "zero"}),
+     "--eps", "1e-3", "--samples", "0"),
+])
+def test_invalid_input_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")

@@ -15,6 +15,7 @@ from pairorbit.families import (
     is_generic,
     orbit_class_from_json,
     orbit_class_to_json,
+    read_back,
     representative,
     sample_params,
 )
@@ -211,7 +212,7 @@ def _assert_jacobian(fun, x):
     assert np.max(np.abs(J - Jc)) <= 1e-6 * max(1.0, np.max(np.abs(J)))
 
 
-@pytest.mark.parametrize("b_form", sorted(pn._FREE_SLOTS))
+@pytest.mark.parametrize("b_form", sorted({k[1] for k in FAMILIES}))
 def test_structural_residual_jacobian(b_form):
     rng = np.random.default_rng(zlib.crc32(b_form.encode()))
     keys = [k for k in FAMILIES if k[1] == b_form]
@@ -235,6 +236,48 @@ def test_structural_residual_unit_slot():
     assert r.shape == (10,) and J.shape == (10, 9)  # A, Im B12, |B11|
     assert abs(r[-1] - 3.01) < 1e-14       # |B11| - 1 with B11 = 4.01
     _assert_jacobian(fun, x)
+
+
+def test_structural_residual_unit_slot_zero_b_eiphi():
+    # (reciprocal | zero_b_eiphi) pins B11 = 0, Im B12 and |B22| = 1
+    cls = sample_params(FAMILIES[(T.RECIPROCAL, "zero_b_eiphi")], n=1, seed=5)[0]
+    p = MatrixPair.of(np.eye(2), np.eye(2))
+    fun = pn._structural_residual(p, cls, representative(cls).A.m)
+    x = np.concatenate([[0.3], np.array([[2.0, 0.5j], [0.1, 1.0]]).view(float).ravel()])
+    r, J = fun(x)
+    assert r.shape == (12,) and J.shape == (12, 9)  # A, B11, Im B12, |B22|
+    assert abs(r[-1] + 0.25) < 1e-14       # |B22| - 1 with B22 = 0.75
+    _assert_jacobian(fun, x)
+
+
+def test_b_params_order():
+    # the A parameter first, then the slot parameters in slot order
+    assert FAMILIES[(T.UNIMODULAR, "generic")].b_params == \
+        ("theta", "a", "r", "phi", "d")
+    assert FAMILIES[(T.RECIPROCAL, "generic")].b_params == \
+        ("tau", "phi", "b", "zeta")
+    assert FAMILIES[(T.RECIPROCAL, "zero_b_eiphi")].b_params == ("tau", "b", "phi")
+    assert FAMILIES[(T.INDEFINITE, "h_one_plus_de")].b_params == ("d", "theta")
+    assert FAMILIES[(T.DEFINITE, "d0_plus_d")].b_params == ("d0", "d")
+    assert FAMILIES[(T.ZERO, "full")].b_params == ()
+
+
+@pytest.mark.parametrize("key", sorted(FAMILIES))
+def test_read_back_of_representative(key):
+    # reading the parameters back off the representative's B returns them;
+    # the modulus and angle of a phase slot ("r@phi", "@phi", "d@theta") go
+    # through polar form and may move by one unit in the last place
+    spec = FAMILIES[key]
+    polar = {n for s in spec.b_slots if isinstance(s, str) and "@" in s
+             for n in s.split("@") if n}
+    for cls in sample_params(spec, n=5):
+        got = read_back(cls, representative(cls).B.m, 1e-9)
+        assert got.key() == cls.key() and set(got.params) == set(cls.params)
+        for name, v in cls.params.items():
+            if name in polar:
+                assert abs(got.params[name] - v) <= 2 * np.spacing(abs(v)), name
+            else:
+                assert got.params[name] == v, name
 
 
 def test_full_residual_jacobian():
