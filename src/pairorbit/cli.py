@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bounds import (
@@ -262,8 +263,8 @@ def main(argv=None):
         args.seed = 0
     if not args.tol > 0:
         return _input_error("--tol must be positive")
-    if not getattr(args, "eps", 1.0) > 0:
-        return _input_error("--eps must be positive")
+    if not 0.0 < getattr(args, "eps", 1.0) < math.inf:
+        return _input_error("--eps must be positive and finite")
     if getattr(args, "samples", 1) < 1:
         return _input_error("--samples must be at least 1")
     try:

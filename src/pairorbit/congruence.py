@@ -102,26 +102,29 @@ class StarClass:
         return STAR_DIMS[self.tag]
 
 
+# the parameter-free representatives, built once; Complex2x2 is read-only
+_STAR_REPS = {
+    StarTag.ZERO: Complex2x2(np.zeros((2, 2))),
+    StarTag.RANK1_SEMIDEF: Complex2x2(np.diag([1.0, 0.0])),
+    StarTag.RANK1_NILPOTENT: Complex2x2([[0.0, 1.0], [0.0, 0.0]]),
+    StarTag.DEFINITE: Complex2x2(np.eye(2)),
+    StarTag.INDEFINITE: Complex2x2(np.diag([1.0, -1.0])),
+    StarTag.JORDAN: Complex2x2([[0.0, 1.0], [1.0, 1j]]),
+}
+
+
 def star_representative(cls: StarClass) -> Complex2x2:
-    """The exact normal-form matrix of the family."""
+    """The exact normal-form matrix of the family.  The six parameter-free
+    families share one read-only instance each."""
     t = cls.tag
-    if t == StarTag.ZERO:
-        return Complex2x2(np.zeros((2, 2)))
-    if t == StarTag.RANK1_SEMIDEF:
-        return Complex2x2(np.diag([1.0, 0.0]))
-    if t == StarTag.RANK1_NILPOTENT:
-        return Complex2x2([[0.0, 1.0], [0.0, 0.0]])
-    if t == StarTag.DEFINITE:
-        return Complex2x2(np.eye(2))
-    if t == StarTag.INDEFINITE:
-        return Complex2x2(np.diag([1.0, -1.0]))
     if t == StarTag.RECIPROCAL:
         return Complex2x2([[0.0, 1.0], [cls.tau, 0.0]])
     if t == StarTag.UNIMODULAR:
         return Complex2x2(np.diag([1.0, np.exp(1j * cls.theta)]))
-    if t == StarTag.JORDAN:
-        return Complex2x2([[0.0, 1.0], [1.0, 1j]])
-    raise ValueError(f"unknown tag {t}")
+    try:
+        return _STAR_REPS[t]
+    except KeyError:
+        raise ValueError(f"unknown tag {t}") from None
 
 
 @dataclass(frozen=True)

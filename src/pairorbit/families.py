@@ -138,7 +138,10 @@ assert len(FAMILIES) == 42
 
 @dataclass(frozen=True)
 class OrbitClass:
-    """One of the 42 families with fully instantiated parameters."""
+    """One of the 42 families with fully instantiated parameters.
+
+    representative(cls) is memoised on the instance, so params must not be
+    mutated after construction."""
 
     a_family: str
     b_form: str
@@ -246,11 +249,16 @@ def _slot_value(slot, p):
 
 
 def representative(cls: OrbitClass) -> MatrixPair:
-    """The exact normal-form pair of the family at these parameters."""
-    A = _H if cls.b_form.startswith("h_") else star_representative(star_of(cls))
-    p = {k: complex(v) for k, v in cls.params.items()}
-    b11, b12, b22 = (_slot_value(s, p) for s in FAMILIES[cls.key()].b_slots)
-    return MatrixPair(A, Sym2x2([[b11, b12], [b12, b22]]))
+    """The exact normal-form pair of the family at these parameters.  It is
+    built on the first call and memoised on cls; its arrays are read-only."""
+    rep = cls.__dict__.get("_representative")
+    if rep is None:
+        A = _H if cls.b_form.startswith("h_") else star_representative(star_of(cls))
+        p = {k: complex(v) for k, v in cls.params.items()}
+        b11, b12, b22 = (_slot_value(s, p) for s in FAMILIES[cls.key()].b_slots)
+        rep = MatrixPair(A, Sym2x2([[b11, b12], [b12, b22]]))
+        object.__setattr__(cls, "_representative", rep)
+    return rep
 
 
 def read_back(cls: OrbitClass, B: np.ndarray, tol: float) -> OrbitClass:

@@ -63,9 +63,15 @@ def _as_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def _hash_entries(m: np.ndarray) -> int:
+    # adding 0.0 turns -0.0 into 0.0, so entries that compare equal under
+    # np.array_equal hash equal
+    return hash((m + 0.0).tobytes())
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,11 @@ class Complex2x2:
         return isinstance(other, Complex2x2) and np.array_equal(self.m, other.m)
 
     def __hash__(self):
-        return hash(self.m.tobytes())
+        return _hash_entries(self.m)
+
+    def __reduce__(self):
+        # rebuild through __init__, so copies and unpickled values stay read-only
+        return type(self), (self.m,)
 
 
 @dataclass(frozen=True)
@@ -112,7 +122,11 @@ class Sym2x2:
         return isinstance(other, Sym2x2) and np.array_equal(self.m, other.m)
 
     def __hash__(self):
-        return hash(self.m.tobytes())
+        return _hash_entries(self.m)
+
+    def __reduce__(self):
+        # rebuild through __init__, so copies and unpickled values stay read-only
+        return type(self), (self.m,)
 
 
 @dataclass(frozen=True)
@@ -146,6 +160,9 @@ class GroupElement:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "P", P)
         self.P.setflags(write=False)
+
+    def __reduce__(self):
+        return GroupElement, (self.c, self.P)
 
 
 def identity_element() -> GroupElement:
@@ -181,7 +198,7 @@ def act_pair(g: GroupElement, p: MatrixPair) -> MatrixPair:
 def max_norm(M) -> float:
     """Entrywise max-modulus norm; submultiplicative only up to a factor 2."""
     m = M.m if isinstance(M, (Complex2x2, Sym2x2)) else np.asarray(M)
-    return float(np.max(np.abs(m)))
+    return float(np.abs(m).max())
 
 
 def pair_distance(p: MatrixPair, q: MatrixPair) -> float:

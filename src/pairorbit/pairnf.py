@@ -665,11 +665,18 @@ def _structural_residual(pair, cls, A_nf):
 
 def _polish(pair, cls, g, tol):
     # fast path: the constructive reducers usually land on the
-    # representative to machine precision already
+    # representative to machine precision already.  r0 is
+    # pair_distance(act_pair(g, pair), rep0) without building the validated
+    # pair: 0.5 (Bf + Bf^T) rounds as Sym2x2.symmetrize does, and where
+    # act_pair would reject a non-finite entry, np.maximum keeps the nan or
+    # inf that fails the gate
     Bf = g.P.T @ pair.B.m @ g.P
+    Bf = 0.5 * (Bf + Bf.T)
     try:
-        cls0 = read_back(cls, 0.5 * (Bf + Bf.T), tol)
-        r0 = pair_distance(act_pair(g, pair), representative(cls0))
+        cls0 = read_back(cls, Bf, tol)
+        rep0 = representative(cls0)
+        Af = g.c * (g.P.conj().T @ pair.A.m @ g.P)
+        r0 = float(np.maximum(max_norm(Af - rep0.A.m), max_norm(Bf - rep0.B.m)))
         if r0 <= 1e-10:
             return cls0, g, r0
     except ValueError:

@@ -13,13 +13,14 @@ for sources (0_2, 1+0) with an A-isotropic first column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .congruence import StarTag
 from .families import FAMILIES, OrbitClass, representative, star_of
 from .matcore import (
+    Complex2x2,
     GroupElement,
     MatrixPair,
     PairOrbitError,
@@ -676,19 +677,26 @@ class PerturbReport:
     histogram: dict
     violations: list
     unresolved: int
+    # unresolved samples per exception class name; sums to unresolved
+    unresolved_by: dict = field(default_factory=dict)
 
     def to_json(self):
         return {"source": str(self.source), "eps": self.eps,
                 "samples": self.samples,
                 "histogram": {k: v for k, v in sorted(self.histogram.items())},
                 "violations": self.violations,
-                "unresolved": self.unresolved}
+                "unresolved": self.unresolved,
+                "unresolved_by": dict(sorted(self.unresolved_by.items()))}
 
 
-def _disc_sample(rng, eps):
-    r = eps * np.sqrt(rng.uniform())
-    ph = rng.uniform(0.0, 2.0 * np.pi)
-    return r * np.exp(1j * ph)
+def _perturbations(eps, n, seed):
+    """The n perturbations as an (n, 7) complex array of the entries E11,
+    E12, E21, E22 of A's and F11, F12, F22 of B's.  Sample i draws 14
+    uniforms from default_rng((seed, i)); each pair (u, v) of them gives
+    one entry eps sqrt(u) e^{2 pi i v}, uniform on the disc of radius eps."""
+    u = np.array([np.random.default_rng((seed, i)).uniform(size=14)
+                  for i in range(n)])
+    return eps * np.sqrt(u[:, 0::2]) * np.exp(1j * (2.0 * np.pi * u[:, 1::2]))
 
 
 def _psi1_slack_ok(src: OrbitClass, dst: OrbitClass, kappa: float) -> bool:
@@ -753,26 +761,30 @@ def perturb_experiment(cls: OrbitClass, eps: float, n: int,
     """Classify n perturbed copies of representative(cls) and check every
     reached family against the closure graph (with eps-windows)."""
     from .pairnf import classify_pair
-    if eps <= 0 or n < 1:
-        raise ValueError("eps must be positive and n >= 1")
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rep = representative(cls)
+    D = _perturbations(eps, n, seed)
+    As = rep.A.m + D[:, :4].reshape(n, 2, 2)
+    Bs = rep.B.m + D[:, [4, 5, 5, 6]].reshape(n, 2, 2)
+    # the mean Sym2x2.symmetrize takes: either entry, unless their sum overflows
+    Bs[:, 0, 1] = Bs[:, 1, 0] = 0.5 * (Bs[:, 0, 1] + Bs[:, 1, 0])
     hist = {}
     violations = []
-    unresolved = 0
+    unresolved_by = {}
     for i in range(n):
-        rng = np.random.default_rng((seed, i))
-        Em = np.array([[_disc_sample(rng, eps) for _ in range(2)]
-                       for _ in range(2)])
-        f11, f12, f22 = (_disc_sample(rng, eps) for _ in range(3))
-        Fm = np.array([[f11, f12], [f12, f22]])
-        pert = MatrixPair.of(rep.A.m + Em, Sym2x2.symmetrize(rep.B.m + Fm))
+        pert = MatrixPair(Complex2x2(As[i]), Sym2x2(Bs[i]))
         try:
             got = classify_pair(pert)
-        except PairOrbitError:
-            unresolved += 1
+        except PairOrbitError as e:
+            name = type(e).__name__
+            unresolved_by[name] = unresolved_by.get(name, 0) + 1
             continue
         key = f"{got.cls.a_family}|{got.cls.b_form}"
         hist[key] = hist.get(key, 0) + 1
         if not reachable_with_slack(cls, got.cls, eps):
             violations.append({"sample": i, "reached": str(got.cls)})
-    return PerturbReport(cls, eps, n, hist, violations, unresolved)
+    return PerturbReport(cls, eps, n, hist, violations,
+                         sum(unresolved_by.values()), unresolved_by)

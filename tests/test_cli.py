@@ -163,6 +163,10 @@ def test_bounds_undecided_src_exit_3(capsys):
      "--eps", "-1", "--samples", "3"),
     ("perturb", "--class", json.dumps({"a_family": "zero", "b_form": "zero"}),
      "--eps", "1e-3", "--samples", "0"),
+    ("perturb", "--class", json.dumps({"a_family": "zero", "b_form": "zero"}),
+     "--eps", "nan"),
+    ("perturb", "--class", json.dumps({"a_family": "zero", "b_form": "zero"}),
+     "--eps", "inf"),
 ])
 def test_invalid_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -148,3 +148,21 @@ def test_classify_tcong_rank_vs_svd():
         red = classify_tcong(Sym2x2.symmetrize(B))
         assert red.rank == expected
         assert red.residual < 1e-9 * max(1.0, max_norm(B))
+
+
+def test_star_representative_constants_and_parametric_tags():
+    for tag in (StarTag.ZERO, StarTag.RANK1_SEMIDEF, StarTag.RANK1_NILPOTENT,
+                StarTag.DEFINITE, StarTag.INDEFINITE, StarTag.JORDAN):
+        rep = star_representative(StarClass(tag))
+        assert rep is star_representative(StarClass(tag))
+        assert not rep.m.flags.writeable
+    for theta in (0.3, 1.0, 2.9):
+        rep = star_representative(StarClass(StarTag.UNIMODULAR, theta=theta))
+        want = np.array([[1.0, 0.0], [0.0, np.exp(1j * theta)]])
+        assert rep.m.tobytes() == want.tobytes()
+    for tau in (0.1, 0.5, 0.95):
+        rep = star_representative(StarClass(StarTag.RECIPROCAL, tau=tau))
+        want = np.array([[0.0, 1.0], [tau, 0.0]], dtype=complex)
+        assert rep.m.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        star_representative(StarClass("no_such_tag"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pairorbit.matcore import (
+    Complex2x2,
     GroupElement,
     MatrixPair,
     Sym2x2,
@@ -165,3 +166,26 @@ def test_least_squares_underdetermined_root():
         return np.array([s ** 3 - 1.0]), 3.0 * s * s * np.ones((1, 2))
     sol = least_squares(fun, [2.0, 1.0], max_nfev=300)
     assert abs(sol.x.sum() - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("kind", [Complex2x2, Sym2x2])
+def test_signed_zeros_hash_equal(kind):
+    # np.array_equal treats -0.0 and 0.0 as equal, so the hashes must agree
+    a = kind([[0.0, 0.0], [0.0, 1.0]])
+    b = kind([[-0.0, complex(0.0, -0.0)], [complex(0.0, -0.0), 1.0]])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_copies_and_pickles_stay_read_only():
+    import copy
+    import pickle
+    values = [Complex2x2([[1.0, 2.0], [3.0, 4j]]),
+              Sym2x2([[1.0, 2j], [2j, 3.0]]),
+              GroupElement(1j, [[1.0, 2.0], [0.0, 1.0]])]
+    for v in values:
+        for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(w) is type(v)
+            arr, ref = (w.P, v.P) if isinstance(w, GroupElement) else (w.m, v.m)
+            assert np.array_equal(arr, ref) and not arr.flags.writeable

@@ -161,3 +161,84 @@ def test_witness_forms_match_the_representative():
         va, vb, _, _ = wt._forms_jac(z, rep.A.m, rep.B.m)
         assert abs(va - (P.conj().T @ rep.A.m @ P)[0, 0]) < 1e-13
         assert abs(vb - (P.T @ rep.B.m @ P)[0, 0]) < 1e-13
+
+
+def _scalar_draws(eps, seed, i):
+    """The per-sample scalar loop the batched draws replaced: seven disc
+    samples eps sqrt(u) e^{i ph}, each two scalar draws from one stream."""
+    rng = np.random.default_rng((seed, i))
+    out = []
+    for _ in range(7):
+        r = eps * np.sqrt(rng.uniform())
+        ph = rng.uniform(0.0, 2.0 * np.pi)
+        out.append(r * np.exp(1j * ph))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5])
+def test_batched_draws_equal_scalar_loop_bitwise(eps):
+    for seed in range(20):
+        D = wt._perturbations(eps, 10, seed * 7919)
+        assert D.shape == (10, 7)
+        for i in range(10):
+            assert D[i].tobytes() == _scalar_draws(eps, seed * 7919, i).tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan"), float("inf")])
+def test_perturb_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        perturb_experiment(family_of(T.ZERO, "zero"), eps, 3)
+
+
+def test_perturb_unresolved_by_reason():
+    rep = perturb_experiment(family_of(T.RANK1_NILPOTENT, "zero"), 1e-5, 1,
+                             seed=25)
+    assert rep.unresolved == 1 and rep.histogram == {} and rep.violations == []
+    assert rep.unresolved_by == {"AmbiguousNearBoundary": 1}
+    assert rep.to_json()["unresolved_by"] == {"AmbiguousNearBoundary": 1}
+    rep = perturb_experiment(family_of(T.ZERO, "rank1"), 1e-3, 6, seed=4)
+    assert rep.unresolved_by == {} and rep.to_json()["unresolved_by"] == {}
+
+
+# (a_family, b_form, params, eps, n, seed) and the report recorded before the
+# draws were batched and the representatives memoised; unresolved_by came
+# later and is left out of the comparison
+LAB_PINS = [
+    (("zero", "zero", {}, 1e-3, 8, 2),
+     {"histogram": {"reciprocal|generic": 2, "unimodular|generic": 6}, "unresolved": 0}),
+    (("zero", "rank1", {}, 1e-3, 6, 4),
+     {"histogram": {"reciprocal|generic": 4, "unimodular|generic": 2}, "unresolved": 0}),
+    (("rank1_semidef", "zero", {}, 1e-3, 8, 29),
+     {"histogram": {"unimodular|generic": 8}, "unresolved": 0}),
+    (("rank1_semidef", "a_plus_0", {"a": 1.0}, 1e-5, 1, 130),
+     {"histogram": {}, "unresolved": 1}),
+    (("rank1_nilpotent", "zero", {}, 1e-5, 1, 25),
+     {"histogram": {}, "unresolved": 1}),
+    (("rank1_nilpotent", "zeta_b_1", {"zeta": 0.5 + 0.5j, "b": 0.7}, 1e-5, 6, 19),
+     {"histogram": {"reciprocal|generic": 6}, "unresolved": 0}),
+    (("definite", "a_lt_d", {"a": 0.5, "d": 1.5}, 1e-3, 6, 7),
+     {"histogram": {"unimodular|generic": 6}, "unresolved": 0}),
+    (("indefinite", "zero", {}, 1e-3, 1, 1014078877),
+     {"histogram": {}, "unresolved": 1}),
+    (("indefinite", "h_one_plus_de", {"d": 1.2, "theta": 1.0}, 1e-3, 6, 23),
+     {"histogram": {"reciprocal|generic": 3, "unimodular|generic": 3}, "unresolved": 0}),
+    (("unimodular", "zero", {"theta": 2.0}, 1e-5, 6, 31),
+     {"histogram": {"unimodular|generic": 6}, "unresolved": 0}),
+    (("unimodular", "generic",
+      {"theta": 1.0, "a": 0.8, "r": 0.5, "phi": 0.4, "d": 1.2}, 1e-5, 6, 11),
+     {"histogram": {"unimodular|generic": 6}, "unresolved": 0}),
+    (("reciprocal", "one_plus_zeta", {"tau": 0.3, "zeta": 0.4 - 0.2j}, 1e-3, 6, 13),
+     {"histogram": {"reciprocal|generic": 6}, "unresolved": 0}),
+    (("jordan", "a_plus_zeta", {"a": 0.9, "zeta": 0.3 + 0.5j}, 1e-3, 6, 17),
+     {"histogram": {"reciprocal|generic": 3, "unimodular|generic": 3}, "unresolved": 0}),
+]
+
+
+@pytest.mark.parametrize("cell,want", LAB_PINS)
+def test_perturb_report_pinned(cell, want):
+    fam, form, params, eps, n, seed = cell
+    cls = family_of(fam, form, **params)
+    got = perturb_experiment(cls, eps, n, seed=seed).to_json()
+    del got["unresolved_by"]
+    assert got == {"source": str(cls), "eps": eps, "samples": n,
+                   "violations": [], **want}
