@@ -13,6 +13,7 @@ orbit dimension) checked by the validator below.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,45 +114,71 @@ def psi1_path(src: StarClass, dst: StarClass) -> bool:
 # the constrained maximum M of |a r^2 e^{i b} + 2 b r t + d t^2 e^{-i b}|
 # ---------------------------------------------------------------------------
 
+# Newton steps allowed for the farthest-point multiplier in _beta_max (on
+# seeded rows at scales 1e-8 to 1e4 the value of f settles after 6), and the
+# relative step below which the iteration has reached rounding
+_NEWTON_STEPS = 10
+_STEP_TOL = 4.0 * np.finfo(float).eps
+# points per bracket and step when max_f zooms in on a maximum of h
+_ZOOM_POINTS = 33
+
+
 def _beta_max(u, w, v):
     """Row-wise max over beta of |u e^{i beta} + w + v e^{-i beta}|.
 
-    u, w >= 0 are real arrays and v a complex array, all of one shape.  The
-    critical points z = e^{i beta} solve 2 Y z^4 + w X z^3 - w conj(X) z
-    - 2 conj(Y) = 0 with X = u + conj(v), Y = u conj(v).  Rows where the
-    z^4 term counts take its roots from one batched eigensolve of the
-    companion matrices.  Rows with Y = 0 (u = 0 or v = 0), or with
-    2 |Y| <= eps w |X|, where the z^4 term moves the two critical points by
-    less than rounding, take the closed form z^2 = conj(X)/X.  The maximum
-    runs over these roots, projected onto the unit circle, and z = +-1, +-i.
-    Companion entries are built from moduli and phases, never by a complex
-    division, so that subnormal Y raises no overflow.
+    u, w >= 0 are real arrays and v a complex array, all of one shape.  With
+    s = |v|, e^{2ih} = v / s and gamma = beta - h, the modulus is |E(gamma) - Q|,
+    the distance from Q = -w e^{-ih} to the point E(gamma) = (u + s) cos gamma
+    + i (u - s) sin gamma of an ellipse; e^{ih} = sqrt(v) / sqrt(s) is exact
+    for real v.  The farthest point is cos gamma = -Re Q (u + s) / t,
+    sin gamma = -Im Q (u - s) / (t + e), where e = 4 u s and t > 0 solves
+    S(t) = (A / t)^2 + (B / (t + e))^2 = 1 with A = |Re Q| (u + s) and
+    B = |Im Q| |u - s|.  S falls from infinity to 0 on t > 0, so the root
+    exists when A > 0 or B > e, and it is at least max(A, B - e).  Newton's
+    method on 1 / S - 1 starts there and stops once its step is below
+    rounding, or after _NEWTON_STEPS steps.  When B < e, the limits t -> 0,
+    sin gamma = -Im Q (u - s) / e, are the farthest points for Q on the
+    minor axis (A = 0).  The maximum runs over f evaluated at the root's
+    point, at those two points and at beta = 0, pi, +-pi/2, so every value is
+    f at a real beta: an unconverged root costs a quadratic error, never an
+    overestimate.
     """
     u, w, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(w, float),
                                   np.asarray(v, complex))
-    X = u + np.conj(v)
-    Y = u * np.conj(v)
-    aX, aY = np.abs(X), np.abs(Y)
-    z = np.empty(u.shape + (8,), complex)
-    z[...] = [1.0, -1.0, 1j, -1j, 1.0, 1.0, 1.0, 1.0]
-    quartic = 2.0 * aY > np.finfo(float).eps * w * aX
-    # monic quartic: z^4 + k e^{i(pX - pY)} z^3 - k e^{-i(pX + pY)} z
-    # - e^{-2i pY}, with k = w |X| / (2 |Y|) and pX, pY the phases of X, Y
-    k = w[quartic] * aX[quartic] / (2.0 * aY[quartic])
-    pX, pY = np.angle(X[quartic]), np.angle(Y[quartic])
-    comp = np.zeros(k.shape + (4, 4), complex)
-    comp[:, 0, 0] = -k * np.exp(1j * (pX - pY))
-    comp[:, 0, 2] = k * np.exp(-1j * (pX + pY))
-    comp[:, 0, 3] = np.exp(-2j * pY)
-    comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
-    z[quartic, 4:] = np.linalg.eigvals(comp)
-    square = ~quartic & (aX > 0)
-    z[square, 4] = np.exp(-1j * np.angle(X[square]))
-    z[square, 5] = -z[square, 4]
+    s = np.abs(v)
+    pos = s > 0
+    eih = np.where(pos, np.sqrt(v) / np.sqrt(np.where(pos, s, 1.0)), 1.0)
+    Q = -w * np.conj(eih)
+    p, m, e = u + s, u - s, 4.0 * u * s
+    A, B = np.abs(Q.real) * p, np.abs(Q.imag * m)
+    root, minor = (A > 0) | (B > e), B < e
+    # rows without a root solve the stand-in (1 / t)^2 = 1 and are not used
+    A, B = np.where(root, A, 1.0), np.where(root, B, 0.0)
+    t = np.maximum(A, B - e)
+    for _ in range(_NEWTON_STEPS):
+        # S = a2 + b2 and t S'(t) = -2 (a2 + b2 t / (t + e)), kept as ratios
+        # near 1 so that no power of t under- or overflows
+        te = t + e
+        a2, b2 = (A / t) ** 2, (B / te) ** 2
+        S = a2 + b2
+        step = t * S * (S - 1.0) / (2.0 * (a2 + b2 * (t / te)))
+        t = t + step
+        if np.all(np.abs(step) <= _STEP_TOL * t):
+            break
+    # e^{i gamma} of the root's point and of the two t -> 0 points
+    sg = np.divide(-Q.imag * m, e, out=np.zeros_like(e), where=minor)
+    cg = np.sqrt(1.0 - sg * sg)
+    z = np.empty(u.shape + (7,), complex)
+    z[..., 0] = np.where(root, (-Q.real * p / t) - 1j * (Q.imag * m / (t + e)),
+                         1.0)
+    z[..., 1] = cg + 1j * sg
+    z[..., 2] = -cg + 1j * sg
+    z[..., :3] *= eih[..., None]
+    z[..., 3:] = [1.0, -1.0, 1j, -1j]
     r = np.abs(z)
-    z = np.where(r > 1e-12, z / np.maximum(r, 1e-12), 1.0)
-    return np.max(np.abs(u[..., None] * z + w[..., None] + v[..., None] / z),
-                  axis=-1)
+    z = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
+    return np.max(np.abs(u[..., None] * z + w[..., None]
+                         + v[..., None] * np.conj(z)), axis=-1)
 
 
 def max_f(a: float, b: float, d: complex, theta: float,
@@ -159,14 +186,18 @@ def max_f(a: float, b: float, d: complex, theta: float,
     """Global maximum of f(r,t,beta) = |a r^2 e^{i beta} + 2 b r t
     + d t^2 e^{-i beta}| subject to r^4 + 2 r^2 t^2 cos(theta) + t^4 = 1.
 
-    The feasible (R, T) = (r^2, t^2) arc is parametrized by the direction
-    angle xi in [0, pi/2], and h(xi) is the exact inner beta-maximum
-    (`_beta_max`).  h is evaluated on a 600-point xi grid in one batched
-    call; the brackets around its 4 largest grid values are then refined by
-    golden section side by side, one batched h call on 4 points per step.
-    A bracket stops once its width in xi is at most tol / 10, or once it
-    no longer shrinks in floating point.  a, b and d must be finite, and
-    tol must be positive.
+    f is homogeneous of degree 1 in (a, b, d), so they are divided by a
+    power of two near their largest modulus, which is exact, and the result
+    is multiplied back.  The feasible (R, T) = (r^2, t^2) arc is
+    parametrized by the direction angle xi in [0, pi/2], and h(xi) is the
+    exact inner beta-maximum (`_beta_max`).  h is evaluated on a 600-point
+    xi grid in one batched call.  The brackets around its 4 largest grid
+    values are then zoomed side by side: each step evaluates h once on
+    _ZOOM_POINTS evenly spaced points of every live bracket and keeps the
+    two cells around each bracket's best point.  A bracket stops once its
+    width in xi is at most tol / 10, or once it no longer shrinks in
+    floating point.  a, b and d must be finite, and tol must be positive;
+    a maximum beyond the float range raises ValueError.
     """
     d = complex(d)
     if not np.all(np.isfinite([a, b, d])):
@@ -177,6 +208,9 @@ def max_f(a: float, b: float, d: complex, theta: float,
         raise ValueError("theta must lie in [0, pi)")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    k = math.frexp(max(a, b, abs(d.real), abs(d.imag)))[1]
+    a, b = math.ldexp(a, -k), math.ldexp(b, -k)
+    d = complex(math.ldexp(d.real, -k), math.ldexp(d.imag, -k))
     ct = np.cos(theta)
 
     def h(xi):
@@ -188,27 +222,28 @@ def max_f(a: float, b: float, d: complex, theta: float,
     n = 600
     xs = np.linspace(0.0, np.pi / 2.0, n)
     vals = h(xs)
+    best = np.max(vals)
     top = np.argsort(vals)[::-1][:4]
     lo = xs[np.maximum(top - 1, 0)]
     hi = xs[np.minimum(top + 1, n - 1)]
-    gr = 0.5 * (np.sqrt(5.0) - 1.0)
-    x1 = hi - gr * (hi - lo)
-    x2 = lo + gr * (hi - lo)
-    f1, f2 = np.split(h(np.concatenate([x1, x2])), 2)
+    frac = np.linspace(0.0, 1.0, _ZOOM_POINTS)
     live = hi - lo > tol / 10.0
     while live.any():
         i = np.flatnonzero(live)
         width = hi[i] - lo[i]
-        up = f1[i] < f2[i]
-        j, k = i[up], i[~up]
-        lo[j], x1[j], f1[j] = x1[j], x2[j], f2[j]
-        x2[j] = lo[j] + gr * (hi[j] - lo[j])
-        hi[k], x2[k], f2[k] = x2[k], x1[k], f1[k]
-        x1[k] = hi[k] - gr * (hi[k] - lo[k])
-        f2[j], f1[k] = np.split(h(np.concatenate([x2[j], x1[k]])), [len(j)])
+        pts = np.minimum(lo[i, None] + width[:, None] * frac, hi[i, None])
+        hv = h(pts)
+        best = max(best, np.max(hv))
+        j = np.argmax(hv, axis=1)
+        rows = np.arange(len(i))
+        lo[i] = pts[rows, np.maximum(j - 1, 0)]
+        hi[i] = pts[rows, np.minimum(j + 1, _ZOOM_POINTS - 1)]
         shrunk = hi[i] - lo[i]
         live[i] = (shrunk > tol / 10.0) & (shrunk < width)
-    return float(max(np.max(vals), np.max(f1), np.max(f2)))
+    try:
+        return math.ldexp(float(best), k)
+    except OverflowError:
+        raise ValueError("the maximum exceeds the float range") from None
 
 
 def _m_bound_for(dst: OrbitClass) -> float:

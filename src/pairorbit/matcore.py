@@ -12,6 +12,7 @@ All values are immutable; every function here is pure.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -155,11 +156,23 @@ class GroupElement:
         if abs(abs(c) - 1.0) > _UNIT_MOD_TOL:
             raise ValueError(f"|c| must be 1 within {_UNIT_MOD_TOL}, got |c|={abs(c)}")
         P = _as_matrix(P)
-        if abs(np.linalg.det(P)) == 0.0:
+        (p00, p01), (p10, p11) = P.tolist()
+        det = p00 * p11 - p01 * p10
+        # the closed form can cancel to 0 or overflow to inf - inf = nan;
+        # only then does LAPACK decide
+        if (det == 0 or not cmath.isfinite(det)) and np.linalg.det(P) == 0:
             raise ValueError("P must be invertible")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "P", P)
         self.P.setflags(write=False)
+
+    def __eq__(self, other):
+        return (isinstance(other, GroupElement) and self.c == other.c
+                and np.array_equal(self.P, other.P))
+
+    def __hash__(self):
+        # hash(complex) already maps -0.0 and 0.0 parts alike
+        return hash((self.c, _hash_entries(self.P)))
 
     def __reduce__(self):
         return GroupElement, (self.c, self.P)

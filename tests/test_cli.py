@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from pairorbit.cli import main
+from pairorbit.closure import max_f
 
 
 def run(capsys, *argv):
@@ -57,6 +58,21 @@ def test_maxf_subcommand(capsys):
 ])
 def test_maxf_out_of_domain_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_maxf_large_finite_scale(capsys):
+    code, out, err = run(capsys, "maxf", "--a", "1e155", "--b", "1e155",
+                         "--d", "1e155", "--theta", "1")
+    assert code == 0 and err == ""
+    want = 1e155 * max_f(1.0, 1.0, 1.0, 1.0)
+    assert abs(float(out) - want) <= 1e-15 * want
+
+
+def test_maxf_beyond_float_range_exit_2(capsys):
+    code, out, err = run(capsys, "maxf", "--a", "1e308", "--b", "1e308",
+                         "--d", "1e308", "--theta", "1")
     assert code == 2 and out == ""
     assert err.startswith("error:")
 

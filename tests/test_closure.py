@@ -176,6 +176,99 @@ def test_beta_max_mixed_rows_against_dense_scan():
         assert ref <= g + 1e-12 and g - ref < 1e-9, (row, g, ref)
 
 
+def test_beta_max_never_exceeds_dense_scan():
+    # every value is f at a real beta, so it cannot pass the true maximum
+    rows = [(0.7, 1.2, 0.3 - 1.1j), (2.0, 0.1, -0.5 + 0.2j),
+            (0.4, 0.0, 1.0 + 1.0j), (0.0, 1.3, 0.6 - 0.8j), (1.5, 0.9, 0.0),
+            (0.0, 0.0, -2.0j), (0.8, 0.0, 0.0), (0.0, 0.7, 0.0),
+            (0.0, 0.0, 0.0), (1.0, 0.5, 1e-310j), (1e-20, 1.0, 1.0),
+            (1.0, 1.0, -2.0), (1.0, 1.0, -2.0 + 1e-300j), (1.0, 0.3, 1.0)]
+    u, w, v = (np.array(c) for c in zip(*rows))
+    for row, g in zip(rows, _beta_max(u, w, v.astype(complex))):
+        assert g - _dense_beta_max(*row) <= 1e-12, (row, g)
+
+
+def _companion_beta_max(u, w, v):
+    """Reference kernel: the critical points z = e^{i beta} solve
+    2 Y z^4 + w X z^3 - w conj(X) z - 2 conj(Y) = 0 with X = u + conj(v),
+    Y = u conj(v), taken from one batched eigensolve of the companion
+    matrices (closed form z^2 = conj(X)/X where the z^4 term is below
+    rounding); the maximum runs over them and z = +-1, +-i."""
+    u, w, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(w, float),
+                                  np.asarray(v, complex))
+    X = u + np.conj(v)
+    Y = u * np.conj(v)
+    aX, aY = np.abs(X), np.abs(Y)
+    z = np.empty(u.shape + (8,), complex)
+    z[...] = [1.0, -1.0, 1j, -1j, 1.0, 1.0, 1.0, 1.0]
+    quartic = 2.0 * aY > np.finfo(float).eps * w * aX
+    k = w[quartic] * aX[quartic] / (2.0 * aY[quartic])
+    pX, pY = np.angle(X[quartic]), np.angle(Y[quartic])
+    comp = np.zeros(k.shape + (4, 4), complex)
+    comp[:, 0, 0] = -k * np.exp(1j * (pX - pY))
+    comp[:, 0, 2] = k * np.exp(-1j * (pX + pY))
+    comp[:, 0, 3] = np.exp(-2j * pY)
+    comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
+    z[quartic, 4:] = np.linalg.eigvals(comp)
+    square = ~quartic & (aX > 0)
+    z[square, 4] = np.exp(-1j * np.angle(X[square]))
+    z[square, 5] = -z[square, 4]
+    r = np.abs(z)
+    z = np.where(r > 1e-12, z / np.maximum(r, 1e-12), 1.0)
+    return np.max(np.abs(u[..., None] * z + w[..., None] + v[..., None] / z),
+                  axis=-1)
+
+
+def _kernel_rows(n, seed):
+    """Seeded (u, w, v) rows at scales 1e-8 to 1e4; a tenth each has u = 0,
+    w = 0, v = 0, real v, negative real v, nearly negative real v,
+    u = |v| (1 + 1e-10 noise) and u = |v|."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-8.0, 4.0, n)
+    u = scale * rng.uniform(0.0, 2.0, n)
+    w = scale * rng.uniform(0.0, 2.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    v = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    kind = rng.integers(0, 10, n)
+    u[kind == 0] = 0.0
+    w[kind == 1] = 0.0
+    v[kind == 2] = 0.0
+    v[kind == 3] = v[kind == 3].real
+    v[kind == 4] = -np.abs(v[kind == 4].real)
+    m = kind == 5
+    v[m] = -np.abs(v[m]) * np.exp(1e-9j * rng.normal(size=m.sum()))
+    m = kind == 6
+    u[m] = np.abs(v[m]) * (1.0 + 1e-10 * rng.normal(size=m.sum()))
+    m = kind == 7
+    u[m] = np.abs(v[m])
+    return u, w, v
+
+
+def test_beta_max_matches_companion_oracle():
+    u, w, v = _kernel_rows(100_000, seed=20)
+    got, ref = _beta_max(u, w, v), _companion_beta_max(u, w, v)
+    assert np.isfinite(got).all()
+    rel = np.abs(got - ref) / np.maximum(ref, np.finfo(float).tiny)
+    assert rel.max() <= 1e-13, rel.max()
+
+
+@pytest.mark.parametrize("lam", [2.0 ** 500, 2.0 ** -500, 1e155])
+def test_max_f_is_homogeneous_at_extreme_scales(lam):
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        a, b = rng.uniform(0.0, 2.0, 2)
+        d = complex(*rng.uniform(-2.0, 2.0, 2))
+        theta = rng.uniform(0.0, 3.05)
+        want = lam * max_f(a, b, d, theta)
+        got = max_f(lam * a, lam * b, lam * d, theta)
+        assert abs(got - want) <= 1e-15 * want, (a, b, d, theta, got, want)
+
+
+def test_max_f_beyond_float_range_raises():
+    assert np.isfinite(max_f(1e155, 1e155, 1e155, 1.0))
+    with pytest.raises(ValueError, match="float range"):
+        max_f(1e308, 1e308, 1e308, 1.0)
+
+
 _coef = st.floats(0.0, 2.0)
 _dpart = st.floats(-2.0, 2.0)
 _arc_points = st.lists(st.tuples(st.floats(0.0, 1.0),

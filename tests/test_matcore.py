@@ -189,3 +189,36 @@ def test_copies_and_pickles_stay_read_only():
             assert type(w) is type(v)
             arr, ref = (w.P, v.P) if isinstance(w, GroupElement) else (w.m, v.m)
             assert np.array_equal(arr, ref) and not arr.flags.writeable
+
+
+def test_group_element_equality_and_hash():
+    g = GroupElement(1j, [[1.0, 2.0], [0.0, 1.0]])
+    h = GroupElement(1j, np.array([[1.0, 2.0], [0.0, 1.0]]))
+    assert g == h and hash(g) == hash(h)
+    assert len({g, h}) == 1
+    assert g != GroupElement(-1j, [[1.0, 2.0], [0.0, 1.0]])
+    assert g != GroupElement(1j, [[1.0, 2.0], [0.0, 1.5]])
+    assert g != "not a group element"
+    # signed zeros in c and in P hash alike
+    z = GroupElement(complex(1.0, -0.0), [[1.0, -0.0], [-0.0, 1.0]])
+    assert z == identity_element() and len({z, identity_element()}) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in det")
+@pytest.mark.parametrize("P", [
+    [[1.0, 2.0], [2.0, 4.0]],
+    [[1e200, 1e200], [1e200, 1e200]],    # closed form inf - inf = nan
+    [[1e-200, 0.0], [0.0, 1e-200]],      # determinant underflows to 0
+    [[0.0, 0.0], [0.0, 0.0]],
+])
+def test_group_element_rejects_singular_p(P):
+    with pytest.raises(ValueError, match="invertible"):
+        GroupElement(1.0, P)
+
+
+@pytest.mark.parametrize("P", [
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[1e-300, 0.0], [0.0, 1e300]],
+])
+def test_group_element_accepts_invertible_p(P):
+    assert np.array_equal(GroupElement(1.0, P).P, P)
