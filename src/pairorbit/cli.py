@@ -112,7 +112,7 @@ def cmd_maxf(args):
         M = max_f(args.a, args.b, d, args.theta, args.tol)
     except ValueError as e:
         return _input_error(str(e))
-    print(f"{M:.6f}")
+    print(repr(float(M)))  # shortest string that reads back to M
     return EXIT_OK
 
 

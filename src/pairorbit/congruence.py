@@ -1,10 +1,17 @@
 """Classification of a single 2x2 matrix up to unit-scaled *-congruence,
 and of a symmetric matrix up to T-congruence.
 
-A nonsingular A is sorted by the eigenstructure of its cosquare (A*)^{-1} A
-together with the values v* A v on cosquare eigenvectors, whose angular gap
-is the invariant that separates the unimodular families (the eigenvalues of
-the cosquare alone only determine that gap up to a half-angle ambiguity).
+A nonsingular A is sorted by the exact invariant kappa = t / (2 |det A|),
+t = 2 Re(a11 conj a22) - |a12|^2 - |a21|^2, read against its computed
+first-order rounding bound e: |kappa| <= 1 - e is unimodular (kappa =
+cos theta) and kappa < -1 - e reciprocal (kappa = -(1 + tau^2) / (2 tau)).
+theta and tau themselves are read from the cosquare eigenvector frame that
+reduces A, which stays accurate where inverting kappa would not.  At
+kappa = +-1 within e the cosquare (A*)^{-1} A has a double eigenvalue of
+modulus 1.  If its non-scalar part is within rounding, A is definite
+(kappa = 1) or indefinite (kappa = -1); otherwise it is unimodular with a
+tiny angle (above tol, at kappa = 1) or Jordan (above sqrt(tol), at
+kappa = -1), and in between it is undecided.
 
 Every reducer is closed form, built from cosquare eigenvectors (and, for a
 defective cosquare, a generalized eigenvector) as in the cosquare frames of
@@ -213,8 +220,10 @@ def classify_star(A: Complex2x2, tol: float = DEFAULT_TOL) -> StarReduction:
     """Classify A up to unit-scaled *-congruence with an explicit reducer.
 
     The reducer g satisfies act_star(g, A) == representative within the
-    returned residual.  Raises AmbiguousNearBoundary when the invariants sit
-    within tol of two families' parameter ranges.
+    returned residual.  Raises AmbiguousNearBoundary when kappa = +-1
+    within its bound and the cosquare's non-scalar part lies between its
+    rounding bound and tol (at +1) or sqrt(tol) (at -1), or when a
+    reciprocal tau is at most tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -230,7 +239,7 @@ def classify_star(A: Complex2x2, tol: float = DEFAULT_TOL) -> StarReduction:
     if r == 1:
         return _classify_rank1(m, tol, scale)
 
-    return _classify_rank2(m, tol, scale)
+    return _classify_rank2(m, tol)
 
 
 def _finish(cls: StarClass, A: np.ndarray, c, P) -> StarReduction:
@@ -269,147 +278,117 @@ def _classify_rank1(m, tol, scale):
     return _finish(cls, m, c, P)
 
 
-def _angle_gap(q1: complex, q2: complex) -> float:
-    """Arc distance between arg(q1) and arg(q2), in [0, pi]."""
-    d = abs(np.angle(q1 / q2))
-    return float(d)
+_EPS = np.finfo(float).eps
+# constant of the first-order rounding bounds on kappa and the cosquare
+_KAPPA_C = 8.0
 
 
-_AMBIG_FLOOR = 5e-13
+def _kappa(m):
+    """kappa = t / (2 |det A|) with t = 2 Re(a11 conj a22) - |a12|^2 - |a21|^2,
+    its first-order rounding bound, and ||A||_F^2 / |det A| >= cond(A).
+
+    det(A - lam A*) = det A - t lam + conj(det A) lam^2, and under (c, P) both
+    t and |det A| scale by |det P|^2, so kappa is an exact invariant: 1 on the
+    definite family, cos(theta) on the unimodular one, -1 on the indefinite
+    and Jordan ones and -(1 + tau^2) / (2 tau) on the reciprocal one.  All
+    three are scale-free; they are computed on A / max|a_ij| so that no
+    product overflows or underflows.
+    """
+    a11, a12, a21, a22 = (m / max_norm(m)).ravel().tolist()
+    p11, p12 = abs(a11 * a22), abs(a12 * a21)
+    n11, n12, n21, n22 = (abs(a) * abs(a) for a in (a11, a12, a21, a22))
+    det = abs(a11 * a22 - a12 * a21)
+    kappa = ((a11 * a22.conjugate()).real - 0.5 * (n12 + n21)) / det
+    err = _KAPPA_C * _EPS * (2 * p11 + n12 + n21
+                             + 2 * abs(kappa) * (p11 + p12)) / det
+    return kappa, err, (n11 + n12 + n21 + n22) / det
 
 
-def _noise_floor(m):
-    """Achievable accuracy of the cosquare invariants: the eigenvalue data
-    carries an error of order eps * cond(A)^2."""
-    s = np.linalg.svd(m, compute_uv=False)
-    cond = s[0] / max(s[-1], 1e-300)
-    return max(_AMBIG_FLOOR, 200.0 * np.finfo(float).eps * cond * cond)
-
-
-def _classify_rank2(m, tol, scale):
+def _classify_rank2(m, tol):
+    kappa, err, frob = _kappa(m)
     W = np.linalg.solve(m.conj().T, m)  # cosquare
-    evals, vecs = np.linalg.eig(W)
-    lam1, lam2 = evals
-    sep = abs(lam1 - lam2)
-    off_scalar = max_norm(W - 0.5 * np.trace(W) * np.eye(2))
-    lam_scale = max(1.0, abs(lam1), abs(lam2))
-    floor = _noise_floor(m)
-    # defective cosquare (eigenvalues split like sqrt of the noise, so the
-    # window is sqrt(tol)-sized)
-    if sep <= np.sqrt(tol) * lam_scale and off_scalar > np.sqrt(tol) * lam_scale:
-        return _reduce_jordan(m, W, tol)
-    # reciprocal-modulus gate: tau = 1 is the indefinite boundary
-    mods = sorted([abs(lam1), abs(lam2)])
-    tau = float(np.sqrt(mods[0] / mods[1]))
-    gap_to_one = 1.0 - tau
-    if gap_to_one > max(tol * 10, floor * 10):
-        return _reduce_reciprocal(m, evals, vecs, tau, tol)
-    if gap_to_one > floor:
-        raise AmbiguousNearBoundary(
-            f"cosquare modulus ratio within tolerance of 1 (tau = {tau})",
-            [StarTag.RECIPROCAL, StarTag.INDEFINITE, StarTag.DEFINITE,
-             StarTag.UNIMODULAR])
-    # unimodular-type spectrum: scalar vs angle-separated
-    if sep <= tol * lam_scale and off_scalar <= np.sqrt(tol) * lam_scale:
-        return _reduce_scalar_cosquare(m, lam1, tol)
-    return _reduce_unimodular(m, evals, vecs, tol)
+    if -1.0 + err <= kappa <= 1.0 - err:
+        return _reduce_unimodular(m, W)
+    if kappa < -1.0 - err:
+        return _reduce_reciprocal(m, W, tol)
+    # kappa = +-1 within its bound: a double cosquare eigenvalue of modulus
+    # 1.  A scalar cosquare is definite (kappa = 1) or indefinite (-1); a
+    # non-scalar one is a tiny unimodular angle at 1 and, at -1, Jordan if
+    # its eigenvalues agree within sqrt(tol) (defective: they split like the
+    # square root of the noise).  The non-scalar part is told from rounding
+    # by the first-order bound on W's entries.
+    lam = 0.5 * np.trace(W)
+    off = max_norm(W - lam * np.eye(2))
+    if off <= _KAPPA_C * _EPS * frob:
+        return _reduce_scalar_cosquare(m, lam)
+    if kappa > 0:
+        if off > tol:
+            return _reduce_unimodular(m, W)
+    elif off > np.sqrt(tol):
+        l1, l2 = np.linalg.eigvals(W)
+        if abs(l1 - l2) <= np.sqrt(tol) * max(1.0, abs(l1), abs(l2)):
+            return _reduce_jordan(m, W)
+    raise AmbiguousNearBoundary(
+        f"cosquare at kappa = {kappa:+.0f} with non-scalar part {off:.3g}",
+        [StarTag.DEFINITE, StarTag.UNIMODULAR] if kappa > 0 else
+        [StarTag.INDEFINITE, StarTag.JORDAN, StarTag.RECIPROCAL, StarTag.UNIMODULAR])
 
 
-def _reduce_scalar_cosquare(m, lam, tol):
+def _reduce_scalar_cosquare(m, lam):
     # A^{-*} A = mu I with |mu| = 1; A / nu is Hermitian for nu^2 = mu.
-    mu = lam / abs(lam)
-    nu = np.sqrt(mu)
+    nu = np.sqrt(lam / abs(lam))
     H = m / nu
-    H = 0.5 * (H + H.conj().T)
-    w, Q = np.linalg.eigh(H)
-    signs = np.sign(w)
-    if np.all(signs > 0) or np.all(signs < 0):
-        cls = StarClass(StarTag.DEFINITE)
-        flip = 1.0 if np.all(signs > 0) else -1.0
-        P = Q @ np.diag(1.0 / np.sqrt(np.abs(w)))
-        c = flip / nu
-    else:
-        cls = StarClass(StarTag.INDEFINITE)
-        order = np.argsort(-signs)  # positive eigenvalue first
-        Q = Q[:, order]
-        w = w[order]
-        P = Q @ np.diag(1.0 / np.sqrt(np.abs(w)))
-        c = 1.0 / nu
-    return _finish(cls, m, c, P)
+    w, Q = np.linalg.eigh(0.5 * (H + H.conj().T))  # ascending
+    if w[0] > 0 or w[1] < 0:  # one sign
+        cls, c = StarClass(StarTag.DEFINITE), np.sign(w[0]) / nu
+    else:  # positive eigenvalue first
+        cls, c, w, Q = StarClass(StarTag.INDEFINITE), 1.0 / nu, w[::-1], Q[:, ::-1]
+    return _finish(cls, m, c, Q @ np.diag(1.0 / np.sqrt(np.abs(w))))
 
 
-def _reduce_unimodular(m, evals, vecs, tol):
+def _reduce_unimodular(m, W):
+    _, vecs = np.linalg.eig(W)
     v1 = vecs[:, 0]
     v2 = vecs[:, 1]
     q1 = np.vdot(v1, m @ v1)
     q2 = np.vdot(v2, m @ v2)
-    gap = _angle_gap(q2, q1)
-    floor = _noise_floor(m)
-    if gap <= floor:
-        return _reduce_scalar_cosquare(m, evals[0], tol)
-    if gap <= tol:
-        raise AmbiguousNearBoundary(
-            f"unimodular angle gap within tolerance of 0 (theta = {gap})",
-            [StarTag.UNIMODULAR, StarTag.DEFINITE, StarTag.INDEFINITE])
-    if gap >= np.pi - floor:
-        # antipodal values: the indefinite family
-        P = np.column_stack([v1 / np.sqrt(abs(q1)), v2 / np.sqrt(abs(q2))])
-        c = np.conj(q1) / abs(q1)
-        return _finish(StarClass(StarTag.INDEFINITE), m, c, P)
-    if gap >= np.pi - tol:
-        raise AmbiguousNearBoundary(
-            f"unimodular angle gap within tolerance of pi (theta = {gap})",
-            [StarTag.UNIMODULAR, StarTag.INDEFINITE])
-    # order so that the second value sits at +gap from the first
+    # order so that the second value sits at +theta from the first
     if np.angle(q2 / q1) < 0:
         v1, v2, q1, q2 = v2, v1, q2, q1
     theta = float(np.angle(q2 / q1))
-    theta = min(max(theta, 10 * np.finfo(float).eps), np.pi - 10 * np.finfo(float).eps)
+    theta = min(max(theta, 10 * _EPS), np.pi - 10 * _EPS)
     cls = StarClass(StarTag.UNIMODULAR, theta=theta)
     P = np.column_stack([v1 / np.sqrt(abs(q1)), v2 / np.sqrt(abs(q2))])
     c = np.conj(q1) / abs(q1)
     return _finish(cls, m, c, P)
 
 
-def _reduce_reciprocal(m, evals, vecs, tau, tol):
+def _reduce_reciprocal(m, W, tol):
+    # cosquare eigenvectors with non-unimodular eigenvalues are A-isotropic,
+    # so P = [a v1, b v2] gives an antidiagonal P* A P.  tau = |g21 / g12|
+    # is read from that frame (as accurate as kappa for small tau, and not
+    # amplified by 1 / sqrt(kappa^2 - 1) near tau = 1), with v1 the
+    # eigenvector of the smaller eigenvalue modulus, for which |g21| < |g12|.
+    _, vecs = np.linalg.eig(W)
+    v1, v2 = vecs[:, 0], vecs[:, 1]
+    g12, g21 = np.vdot(v1, m @ v2), np.vdot(v2, m @ v1)
+    if abs(g21) > abs(g12):
+        v1, v2, g12, g21 = v2, v1, g21, g12
+    tau = float(abs(g21 / g12))
     if tau <= tol:
         raise AmbiguousNearBoundary(
             "reciprocal parameter within tol of 0 (nilpotent boundary)",
             [StarTag.RECIPROCAL, StarTag.RANK1_NILPOTENT])
-    order = np.argsort(np.abs(evals))
-    v_small = vecs[:, order[0]]   # eigenvalue of modulus tau-ish (< 1)
-    v_large = vecs[:, order[1]]
-    # cosquare eigenvectors with non-unimodular eigenvalues are A-isotropic;
-    # P = [a v_small, b v_large] gives an antidiagonal P* A P.
-    g12 = np.vdot(v_small, m @ v_large)
-    g21 = np.vdot(v_large, m @ v_small)
-    # want c * conj(a) b g12 = 1 and c * conj(b) a g21 = tau
-    # choose a real > 0; then solve for b and c.
-    # |a b| from product: |a|^2|b|^2 |g12 g21| = tau; phase split below.
-    ratio = np.sqrt(tau / abs(g12 * g21))
-    a = np.sqrt(ratio)
-    babs = ratio / a
-    # phases: set c = conj(phase of (conj(a) b g12)) once b-phase chosen so
-    # that the two equations share it.  Let b = babs * e^{i beta}:
-    #   c e^{i beta} g12_ph = 1-phase,  c e^{-i beta} g21_ph = 1-phase.
-    # => e^{2 i beta} = g21_ph / g12_ph.
-    beta = 0.5 * np.angle(g21 / g12)
-    b = babs * np.exp(1j * beta)
-    c = np.conj(np.conj(a) * b * g12)
-    P = np.column_stack([a * v_small, b * v_large])
-    # the representative for this tau:
-    cls = StarClass(StarTag.RECIPROCAL, tau=tau)
-    red = _finish(cls, m, c, P)
-    if red.residual > np.sqrt(tol):
-        # the eigenvector pairing may be swapped; retry with columns exchanged
-        Pb = np.column_stack([a * v_large, b * v_small])
-        red_b = _finish(cls, m, c, Pb)
-        if red_b.residual < red.residual:
-            red = red_b
-    return red
+    # c conj(a) b g12 = 1 and c conj(b) a g21 = tau: a = |g12|^(-1/2) and
+    # b = a e^{i beta} with e^{2 i beta} the phase of g21 / g12
+    a = abs(g12) ** -0.5
+    b = a * np.exp(0.5j * np.angle(g21 / g12))
+    c = np.conj(a * b * g12)
+    P = np.column_stack([a * v1, b * v2])
+    return _finish(StarClass(StarTag.RECIPROCAL, tau=tau), m, c, P)
 
 
-def _reduce_jordan(m, W, tol):
+def _reduce_jordan(m, W):
     """Reducer onto [[0,1],[1,i]] for defective cosquare.
 
     With c P* A P = Ji the cosquares satisfy W = (1/c^2) P W_Ji P^{-1}, so

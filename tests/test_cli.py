@@ -35,6 +35,28 @@ def test_classify_subcommand(capsys):
     assert obj["residual"] < 1e-8
 
 
+def test_classify_ill_conditioned_reciprocal_orbit_point(capsys):
+    # an exact orbit point of (reciprocal|zero_plus_1), tau = 0.826, with
+    # cond(A) = 4.2e6: kappa decides it, though 200 u cond(A)^2 = 0.80 is
+    # above 1 - tau
+    pair = json.dumps({
+        "A": [[[-0.6354487546580362, -0.4534853531404974],
+               [-1.1470853932484935, 0.3483766680899248]],
+              [[-0.043720240245292585, -1.1981388335735048],
+               [-1.4988321201413035, -1.0692230930403597]]],
+        "B": [[[0.47118874581812575, -0.16567394007076386],
+               [0.23908328039440613, -0.7285638223008153]],
+              [[0.23908328039440613, -0.7285638223008153],
+               [-0.6632520349538796, -0.9725581079399904]]]})
+    code, out, err = run(capsys, "classify", "--pair", pair)
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert (obj["class"]["a_family"], obj["class"]["b_form"]) == (
+        "reciprocal", "zero_plus_1")
+    assert abs(obj["class"]["params"]["tau"] - 0.826) < 1e-3
+    assert obj["residual"] <= 1e-8
+
+
 def test_path_subcommand(capsys):
     src = json.dumps({"a_family": "zero", "b_form": "zero"})
     dst = json.dumps({"a_family": "definite", "b_form": "a_lt_d",
@@ -47,7 +69,16 @@ def test_path_subcommand(capsys):
 def test_maxf_subcommand(capsys):
     code, out, _ = run(capsys, "maxf", "--a", "0", "--b", "0", "--d", "2",
                        "--theta", "1.5707963")
-    assert code == 0 and out.strip() == "2.000000"
+    assert code == 0 and out.strip() == "2.0"
+
+
+def test_maxf_prints_small_maximum_exactly(capsys):
+    # a maximum of 1e-7 prints as itself, not as 0.000000
+    code, out, err = run(capsys, "maxf", "--a", "1e-7", "--b", "0", "--d", "0",
+                         "--theta", "1")
+    assert code == 0 and err == ""
+    assert float(out) == max_f(1e-7, 0, 0, 1)
+    assert out.strip() == repr(max_f(1e-7, 0, 0, 1))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pairorbit.congruence import (
+    _kappa,
     AmbiguousNearBoundary,
     StarClass,
     StarTag,
@@ -12,7 +15,9 @@ from pairorbit.congruence import (
     takagi,
 )
 from pairorbit.matcore import (
+    DEFAULT_TOL,
     Complex2x2,
+    PairOrbitError,
     SingularInput,
     Sym2x2,
     act_star,
@@ -115,6 +120,80 @@ def test_ambiguous_near_tau_one():
     with pytest.raises(AmbiguousNearBoundary) as e:
         classify_star(A, tol=1e-9)
     assert len(e.value.candidates) >= 2
+
+
+def test_ill_conditioned_unimodular_diagonal():
+    # |det A| = 1e-7: kappa = cos 2 exactly, though 200 u cond(A)^2 = 4.4
+    red = classify_star(Complex2x2(np.diag([1.0, 1e-7 * np.exp(2j)])))
+    assert red.cls.tag == StarTag.UNIMODULAR
+    assert abs(red.cls.theta - 2.0) < 1e-12
+    assert red.residual < 1e-8
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e300])
+def test_rank2_classes_at_huge_scale(scale):
+    # kappa is scale-free and is computed on A / max|a_ij|, so nothing
+    # overflows
+    for cls, _ in _REPS[3:]:
+        red = classify_star(Complex2x2(scale * star_representative(cls).m))
+        assert red.cls.tag == cls.tag and red.residual < 1e-12
+        if cls.tag in (StarTag.UNIMODULAR, StarTag.RECIPROCAL):
+            assert abs(_param(red.cls) - _param(cls)) < 1e-14
+
+
+def _unitary(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2))
+                        + 1j * rng.standard_normal((2, 2)))
+    return q
+
+
+def _param(cls):
+    return cls.theta if cls.tag == StarTag.UNIMODULAR else cls.tau
+
+
+@pytest.mark.parametrize("cond_p", [1e3, 1e4, 1e6])
+def test_ill_conditioned_orbit_points(cond_p):
+    # exact orbit points c P* rep P with cond(P) = cond_p, so cond(A) =
+    # cond_p^2.  The tag and parameter must come out right (the parameter to
+    # a first-order multiple of u cond(A)) or the classifier must raise.
+    rng = np.random.default_rng(int(cond_p))
+    classes = ([StarClass(StarTag.UNIMODULAR, theta=t)
+                for t in np.linspace(0.2, 2.9, 8)]
+               + [StarClass(StarTag.RECIPROCAL, tau=t)
+                  for t in np.linspace(0.05, 0.95, 8)])
+    decided = 0
+    for cls in classes:
+        for _ in range(25):
+            P = (_unitary(rng) @ np.diag([cond_p ** 0.5, cond_p ** -0.5])
+                 @ _unitary(rng))
+            c = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            A = c * P.conj().T @ star_representative(cls).m @ P
+            s = np.linalg.svd(A, compute_uv=False)
+            # the rank gate is relative to tol: at cond(A) = 1e12 it reads A
+            # as rank 1 under the default tol, so kappa is run below 1/cond(A)
+            tol = min(DEFAULT_TOL, 0.1 * s[1] / s[0])
+            try:
+                red = classify_star(Complex2x2(A), tol)
+            except PairOrbitError:
+                continue
+            decided += 1
+            assert red.cls.tag == cls.tag
+            assert abs(_param(red.cls) - _param(cls)) <= (
+                1e3 * np.finfo(float).eps * s[0] / s[1])
+    assert decided >= 0.9 * 25 * len(classes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-2.0, 2.0), min_size=16, max_size=16),
+       st.floats(0.0, 2.0 * np.pi))
+def test_kappa_is_invariant_within_its_bound(xs, phi):
+    A = (np.array(xs[:4]) + 1j * np.array(xs[4:8])).reshape(2, 2)
+    P = (np.array(xs[8:12]) + 1j * np.array(xs[12:])).reshape(2, 2)
+    assume(abs(np.linalg.det(A)) > 1e-3 and abs(np.linalg.det(P)) > 1e-3)
+    k1, e1, _ = _kappa(A)
+    k2, e2, _ = _kappa(np.exp(1j * phi) * P.conj().T @ A @ P)
+    assert k1 <= 1.0 + e1
+    assert abs(k1 - k2) <= e1 + e2
 
 
 def test_takagi_factorization():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pairorbit.congruence import StarClass, star_representative
 from pairorbit.congruence import StarTag as T
 from pairorbit.families import (
     FAMILIES,
@@ -131,10 +132,10 @@ def test_dim_matches_tangent_module():
         assert out.cls.dim == orbit_dimension(p)
 
 
-def test_near_scalar_cosquare_raises_typed_error():
+def test_near_scalar_cosquare_is_unimodular():
     # the one sample of perturb_experiment((indefinite|zero), 1e-3, 1,
-    # seed=1014078877): its cosquare is near scalar, the A stage reads it as
-    # Jordan, and the Jordan column cannot normalize its B
+    # seed=1014078877): its cosquare's eigenvalues are close, but kappa sits
+    # well inside (-1, 1), so it is a unimodular A, not a Jordan one
     E = np.array([[-4.849206394948673e-05 - 0.0008720805529094684j,
                    0.0003418082977657986 + 0.0004384159217707383j],
                   [0.0003630591250895343 - 0.00021151401826263554j,
@@ -145,8 +146,43 @@ def test_near_scalar_cosquare_raises_typed_error():
     rep = representative(family_of(T.INDEFINITE, "zero"))
     p = MatrixPair.of(rep.A.m + E, Sym2x2.symmetrize(
         rep.B.m + np.array([[f11, f12], [f12, f22]])))
-    with pytest.raises(PairOrbitError):
-        classify_pair(p)
+    out = classify_pair(p)
+    assert out.cls.key() == (T.UNIMODULAR, "generic")
+    assert out.residual <= 1e-8
+    assert pair_distance(act_pair(out.reducer, p),
+                         representative(out.cls)) <= out.residual + 1e-12
+
+
+# A-representatives at distance delta from a boundary of kappa's ranges
+_NEAR_KAPPA_BOUNDARY = {
+    "theta_to_0": lambda d: StarClass(T.UNIMODULAR, theta=d),
+    "theta_to_pi": lambda d: StarClass(T.UNIMODULAR, theta=np.pi - d),
+    "tau_to_1": lambda d: StarClass(T.RECIPROCAL, tau=1.0 - d),
+    "tau_to_0": lambda d: StarClass(T.RECIPROCAL, tau=d),
+}
+
+
+@pytest.mark.parametrize("side", sorted(_NEAR_KAPPA_BOUNDARY))
+@pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13])
+def test_near_kappa_boundaries_right_family_or_undecided(side, delta):
+    star = _NEAR_KAPPA_BOUNDARY[side](delta)
+    want = star.theta if star.tag == T.UNIMODULAR else star.tau
+    rep = MatrixPair.of(star_representative(star).m, np.zeros((2, 2)))
+    for seed in range(40):
+        p = act_pair(group_inverse(sample_group(seed)), rep)
+        try:
+            out = classify_pair(p)
+        except PairOrbitError:
+            continue
+        if out.cls.a_family == T.RANK1_NILPOTENT:
+            # the rank gate: A is within tol of the singular matrices
+            s = np.linalg.svd(p.A.m, compute_uv=False)
+            assert side == "tau_to_0" and s[1] <= 1e-9 * s[0]
+            continue
+        assert out.cls.key() == (star.tag, "zero"), (seed, out.cls)
+        got = out.cls.params["theta" if star.tag == T.UNIMODULAR else "tau"]
+        assert abs(got - want) <= 1e-12
+        assert out.residual <= 1e-8
 
 
 def test_orbit_equal():

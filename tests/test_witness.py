@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from pairorbit import pairnf as pn
 from pairorbit import witness as wt
 from pairorbit.closure import pair_path
+from pairorbit.congruence import AmbiguousNearBoundary
 from pairorbit.congruence import StarTag as T
 from pairorbit.families import family_of, representative
 from pairorbit.witness import (
@@ -190,12 +192,27 @@ def test_perturb_rejects_bad_eps(eps):
         perturb_experiment(family_of(T.ZERO, "zero"), eps, 3)
 
 
-def test_perturb_unresolved_by_reason():
-    rep = perturb_experiment(family_of(T.RANK1_NILPOTENT, "zero"), 1e-5, 1,
+def test_perturb_unresolved_by_reason(monkeypatch):
+    # a classifier that leaves samples 0 and 2 undecided for two reasons
+    real = pn.classify_pair
+    calls = []
+
+    def classify(p):
+        calls.append(p)
+        if len(calls) == 1:
+            raise AmbiguousNearBoundary("stub", [T.UNIMODULAR, T.DEFINITE])
+        if len(calls) == 3:
+            raise pn.StabilizerSolveFailed("stub", 1.0)
+        return real(p)
+
+    monkeypatch.setattr(pn, "classify_pair", classify)
+    rep = perturb_experiment(family_of(T.RANK1_NILPOTENT, "zero"), 1e-5, 4,
                              seed=25)
-    assert rep.unresolved == 1 and rep.histogram == {} and rep.violations == []
-    assert rep.unresolved_by == {"AmbiguousNearBoundary": 1}
-    assert rep.to_json()["unresolved_by"] == {"AmbiguousNearBoundary": 1}
+    want = {"AmbiguousNearBoundary": 1, "StabilizerSolveFailed": 1}
+    assert len(calls) == 4 and rep.violations == []
+    assert rep.unresolved == 2 and sum(rep.histogram.values()) == 2
+    assert rep.unresolved_by == want
+    assert rep.to_json()["unresolved_by"] == want
     rep = perturb_experiment(family_of(T.ZERO, "rank1"), 1e-3, 6, seed=4)
     assert rep.unresolved_by == {} and rep.to_json()["unresolved_by"] == {}
 
@@ -211,15 +228,15 @@ LAB_PINS = [
     (("rank1_semidef", "zero", {}, 1e-3, 8, 29),
      {"histogram": {"unimodular|generic": 8}, "unresolved": 0}),
     (("rank1_semidef", "a_plus_0", {"a": 1.0}, 1e-5, 1, 130),
-     {"histogram": {}, "unresolved": 1}),
+     {"histogram": {"unimodular|generic": 1}, "unresolved": 0}),
     (("rank1_nilpotent", "zero", {}, 1e-5, 1, 25),
-     {"histogram": {}, "unresolved": 1}),
+     {"histogram": {"reciprocal|generic": 1}, "unresolved": 0}),
     (("rank1_nilpotent", "zeta_b_1", {"zeta": 0.5 + 0.5j, "b": 0.7}, 1e-5, 6, 19),
      {"histogram": {"reciprocal|generic": 6}, "unresolved": 0}),
     (("definite", "a_lt_d", {"a": 0.5, "d": 1.5}, 1e-3, 6, 7),
      {"histogram": {"unimodular|generic": 6}, "unresolved": 0}),
     (("indefinite", "zero", {}, 1e-3, 1, 1014078877),
-     {"histogram": {}, "unresolved": 1}),
+     {"histogram": {"unimodular|generic": 1}, "unresolved": 0}),
     (("indefinite", "h_one_plus_de", {"d": 1.2, "theta": 1.0}, 1e-3, 6, 23),
      {"histogram": {"reciprocal|generic": 3, "unimodular|generic": 3}, "unresolved": 0}),
     (("unimodular", "zero", {"theta": 2.0}, 1e-5, 6, 31),
