@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from pairorbit.congruence import StarTag
+from pairorbit.families import family_of
 from pairorbit.matcore import (
     Complex2x2,
     GroupElement,
@@ -20,6 +22,7 @@ from pairorbit.matcore import (
     sample_group,
     sample_pair,
 )
+from pairorbit.witness import _first_column_residual
 
 I2 = np.eye(2)
 
@@ -166,6 +169,33 @@ def test_least_squares_underdetermined_root():
         return np.array([s ** 3 - 1.0]), 3.0 * s * s * np.ones((1, 2))
     sol = least_squares(fun, [2.0, 1.0], max_nfev=300)
     assert abs(sol.x.sum() - 1.0) < 1e-14
+
+
+def test_least_squares_wide_step_stays_in_row_space():
+    # the witness first-column system: 3 equations in 4 unknowns.  Solved
+    # through J^T J + mu I, rounding in J^T r drove steps along the null
+    # space of J and this start ran to max_nfev = 600 at a residual of 3e-21
+    dst = family_of(StarTag.UNIMODULAR, "zero_plus_d", theta=0.3,
+                    d=1.7331137262502472)
+    fun = _first_column_residual(dst, 0.0)
+    evals = []
+
+    def logged(z):
+        r, J = fun(z)
+        evals.append((np.array(z), r, J))
+        return r, J
+    sol = least_squares(logged, [1.0, 0.1, 0.8, -0.2], max_nfev=600)
+    assert np.sqrt(2 * sol.cost) < 1e-12 and sol.nfev <= 60
+    # replay the accept rule (a strictly lower cost) to recover the steps
+    x, r, J = evals[0]
+    accepted = 0
+    for x_new, r_new, J_new in evals[1:]:
+        if r_new @ r_new < r @ r:
+            null = np.linalg.svd(J)[2][-1]
+            assert abs(null @ (x_new - x)) <= 1e-14 * max(1.0, np.linalg.norm(x))
+            x, r, J = x_new, r_new, J_new
+            accepted += 1
+    assert accepted >= 20
 
 
 @pytest.mark.parametrize("kind", [Complex2x2, Sym2x2])

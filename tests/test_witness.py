@@ -16,7 +16,7 @@ from pairorbit.witness import (
     verify_witness,
     witness_catalog,
 )
-from pairorbit.matcore import GroupElement
+from pairorbit.matcore import GroupElement, least_squares
 
 
 def test_catalog_size_and_metadata():
@@ -65,8 +65,28 @@ def test_diagonal_witness_residual_closed_form():
 
 def test_verify_witness_rejects_bad_sweep():
     w = witness_catalog()[0]
-    with pytest.raises(ValueError):
-        verify_witness(w, (1e-2, 1e-1))
+    for sweep in [(1e-2, 1e-1), (np.nan,), (1e-1, np.nan), (np.inf, 1.0)]:
+        with pytest.raises(ValueError, match="finite, positive"):
+            verify_witness(w, sweep)
+
+
+def test_cold_catalog_evaluation_counts(monkeypatch):
+    # counts, not seconds: a cold build ran 4,264 LM evaluations when
+    # converged underdetermined solves kept stepping along the null space
+    # of J until max_nfev
+    solves = []
+
+    def counted(fun, x0, max_nfev):
+        sol = least_squares(fun, x0, max_nfev)
+        solves.append(sol)
+        return sol
+    monkeypatch.setattr(wt, "_CATALOG", None)
+    monkeypatch.setattr(wt, "least_squares", counted)
+    assert len(witness_catalog()) == 142
+    assert sum(s.nfev for s in solves) <= 2000
+    converged = [s for s in solves if np.sqrt(2 * s.cost) < 1e-12]
+    assert len(converged) >= 36
+    assert max(s.nfev for s in converged) <= 60
 
 
 def test_divergence_detected():
