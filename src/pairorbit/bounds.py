@@ -25,8 +25,8 @@ import numpy as np
 from .congruence import _rank
 from .matcore import (
     Complex2x2,
+    InputError,
     MatrixPair,
-    PairOrbitError,
     max_norm,
 )
 
@@ -37,11 +37,11 @@ __all__ = [
 ]
 
 
-class PreconditionViolated(PairOrbitError):
+class PreconditionViolated(InputError):
     pass
 
 
-class BadParams(PairOrbitError):
+class BadParams(InputError):
     pass
 
 
@@ -166,7 +166,11 @@ def phase_estimate(src_A: Complex2x2, dst_A: Complex2x2, E_norm: float):
     if abs(dAs) == 0 or abs(dAd) == 0:
         raise PreconditionViolated("both matrices must be nonsingular")
     radius = abs(dAs) / (8.0 * max_norm(As) + 4.0)
-    if E_norm < 0 or E_norm > radius:
+    if not 0.0 <= E_norm <= radius:
+        if not np.isfinite(E_norm):
+            raise PreconditionViolated(f"E_norm must be finite, got {E_norm}")
+        if E_norm < 0.0:
+            raise PreconditionViolated(f"E_norm must be nonnegative, got {E_norm}")
         raise PreconditionViolated(
             f"E_norm {E_norm} exceeds admissible radius {radius}")
     delta = float(np.angle(dAs / dAd))

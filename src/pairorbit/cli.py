@@ -2,9 +2,14 @@
 
 stdout carries the machine-readable payload, stderr the diagnostics.
 Exit codes: 0 success; 2 input error (malformed JSON, an out-of-range
-option, BadParams, PreconditionViolated, NotStandardPosition), with
-"error:" on stderr; 3 any other PairOrbitError (ambiguous, unsolved or
-rank-unstable outcomes), with "undecided:" on stderr.
+option, or an InputError: BadParams, PreconditionViolated,
+NotStandardPosition), with "error:" on stderr; 3 any other PairOrbitError
+(ambiguous, unsolved or rank-unstable outcomes), with "undecided:" on
+stderr.
+
+Only the modules `classify` runs are imported here; every other
+subcommand imports its own modules when it runs, so a process pays only
+for the code it uses.
 """
 
 from __future__ import annotations
@@ -14,31 +19,19 @@ import json
 import math
 import sys
 
-from .bounds import (
-    BadParams,
-    PreconditionViolated,
-    det_invariant_p,
-    nonpath_lower_bound,
-    phase_estimate,
-)
-from .closure import export_graph, max_f, pair_path_detail, validate_graph
 from .families import orbit_class_from_json, orbit_class_to_json
 from .matcore import (
     Complex2x2,
+    InputError,
     PairOrbitError,
     complex_from_json,
+    complex_to_json,
     mat_from_json,
+    mat_to_json,
     pair_from_json,
+    pair_to_json,
 )
 from .pairnf import classify_pair
-from .surface import (
-    NotStandardPosition,
-    is_quadratically_flat,
-    jet_from_json,
-    reduce_jet,
-)
-from .tangent import orbit_dimension
-from .witness import perturb_experiment, verify_witness, witness_catalog
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -65,7 +58,6 @@ def _input_error(msg):
 
 
 def _reducer_json(g):
-    from .matcore import complex_to_json, mat_to_json
     return {"c": complex_to_json(g.c), "P": mat_to_json(g.P)}
 
 
@@ -79,11 +71,13 @@ def cmd_classify(args):
 
 
 def cmd_dim(args):
+    from .tangent import orbit_dimension
     print(orbit_dimension(_load_pair(args.pair), args.tol))
     return EXIT_OK
 
 
 def cmd_path(args):
+    from .closure import pair_path_detail
     src = _load_class(args.src)
     dst = _load_class(args.dst)
     verdict, reason = pair_path_detail(src, dst)
@@ -92,17 +86,20 @@ def cmd_path(args):
 
 
 def cmd_graph(args):
+    from .closure import export_graph
     print(export_graph(args.which, args.format))
     return EXIT_OK
 
 
 def cmd_validate(args):
+    from .closure import validate_graph
     rep = validate_graph(args.samples, args.seed)
     print(json.dumps(rep, indent=2, sort_keys=True))
     return EXIT_OK if not rep["violations"] else EXIT_UNDECIDED
 
 
 def cmd_maxf(args):
+    from .closure import max_f
     try:
         d = complex_from_json(json.loads(args.d)) if args.d.startswith("[") \
             else complex_from_json(args.d)
@@ -117,6 +114,7 @@ def cmd_maxf(args):
 
 
 def cmd_bounds(args):
+    from .bounds import det_invariant_p, nonpath_lower_bound
     src = _load_pair(args.src)
     dst = _load_pair(args.dst)
     p = det_invariant_p(src, dst)
@@ -128,6 +126,7 @@ def cmd_bounds(args):
 
 
 def cmd_phase(args):
+    from .bounds import phase_estimate
     src = _load_mat(args.src)
     dst = _load_mat(args.dst)
     delta, g, r = phase_estimate(src, dst, args.enorm)
@@ -143,6 +142,7 @@ def _load_mat(text):
 
 
 def cmd_witness(args):
+    from .witness import verify_witness, witness_catalog
     cat = witness_catalog()
     if args.verify:
         bad = 0
@@ -159,6 +159,7 @@ def cmd_witness(args):
 
 
 def cmd_perturb(args):
+    from .witness import perturb_experiment
     cls = _load_class(args.cls)
     rep = perturb_experiment(cls, args.eps, args.samples, args.seed)
     print(json.dumps(rep.to_json(), indent=2, sort_keys=True))
@@ -166,12 +167,12 @@ def cmd_perturb(args):
 
 
 def cmd_jet(args):
+    from .surface import is_quadratically_flat, jet_from_json, reduce_jet
     try:
         j = jet_from_json(args.jet)
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as e:
         return _input_error(f"bad jet JSON: {e}")
     pair, rec = reduce_jet(j, args.tol)
-    from .matcore import pair_to_json
     payload = {"pair": pair_to_json(pair),
                "quadratically_flat": is_quadratically_flat(pair, args.tol),
                "z_shift": [[v.real, v.imag] for v in rec.z_shift]}
@@ -269,7 +270,7 @@ def main(argv=None):
         return _input_error("--samples must be at least 1")
     try:
         return args.fn(args)
-    except (BadParams, PreconditionViolated, NotStandardPosition) as e:
+    except InputError as e:
         return _input_error(str(e))
     except PairOrbitError as e:
         print(f"undecided: {e}", file=sys.stderr)

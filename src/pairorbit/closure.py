@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congruence import STAR_DIMS, StarClass, StarTag
-from .families import FAMILIES, OrbitClass, representative, star_of
+from .families import FAMILIES, OrbitClass, representative, sample_params, star_of
 from .matcore import max_norm
 
 __all__ = [
@@ -506,7 +506,6 @@ def pair_path(src: OrbitClass, dst: OrbitClass) -> bool:
 
 def _sample_edge_instances(src_key, dst_key, cond, n, seed=0):
     """Parameter draws for src/dst satisfying the edge condition."""
-    from .families import sample_params
     rng = np.random.default_rng(seed)
     sspec, dspec = FAMILIES[src_key], FAMILIES[dst_key]
     out = []

@@ -26,6 +26,7 @@ __all__ = [
     "MatrixPair",
     "GroupElement",
     "PairOrbitError",
+    "InputError",
     "SingularInput",
     "act_pair",
     "act_star",
@@ -54,6 +55,11 @@ _MIN_DET = 1e-6
 
 class PairOrbitError(Exception):
     """Base class for errors raised by this package."""
+
+
+class InputError(PairOrbitError):
+    """The input lies outside the domain of the operation (the command line
+    exits 2 on these, and 3 on any other PairOrbitError)."""
 
 
 class SingularInput(PairOrbitError):
@@ -258,7 +264,8 @@ class LeastSquaresResult(NamedTuple):
     nfev: int     # joint residual-and-Jacobian evaluations
 
 
-def least_squares(fun, x0, max_nfev: int) -> LeastSquaresResult:
+def least_squares(fun, x0, max_nfev: int,
+                  residual_tol: float = 0.0) -> LeastSquaresResult:
     """Minimize |r(x)|^2 / 2 by Levenberg-Marquardt with Nielsen's damping.
 
     fun(x) returns (r, J), the residual vector and its Jacobian.  The damped
@@ -271,8 +278,9 @@ def least_squares(fun, x0, max_nfev: int) -> LeastSquaresResult:
     space of J (Nocedal and Wright, Numerical Optimization, 2nd ed., 10.3).
     An accepted step scales mu by max(1/3, 1 - (2 rho - 1)^3), where rho is
     the actual over the predicted decrease, and a rejected one by nu, which
-    then doubles.  Stops when the step falls below 1e-16 |x|, when the cost
-    reaches 0, or after max_nfev evaluations.  A damped system that is
+    then doubles.  Stops when the step falls below 1e-16 |x|, when |r|^2
+    falls to residual_tol^2 (for the default 0, when the cost reaches 0),
+    or after max_nfev evaluations.  A damped system that is
     singular in floating point counts as a rejected step.  There is
     deliberately no stop on a small relative decrease: slowly converging
     fallback solves still reach 1e-10 if allowed to run.
@@ -290,7 +298,7 @@ def least_squares(fun, x0, max_nfev: int) -> LeastSquaresResult:
     mu = 1e-12 * float(np.max(np.diag(A))) or 1e-12
     nu = 2.0
     eye = np.eye(r.size if wide else x.size)
-    while cost > 0.0 and nfev < max_nfev:
+    while 2.0 * cost > residual_tol ** 2 and nfev < max_nfev:
         try:
             if wide:
                 h = J.T @ np.linalg.solve(J @ J.T + mu * eye, -r)

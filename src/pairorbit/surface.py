@@ -24,8 +24,8 @@ import numpy as np
 from .matcore import (
     DEFAULT_TOL,
     Complex2x2,
+    InputError,
     MatrixPair,
-    PairOrbitError,
     Sym2x2,
     max_norm,
 )
@@ -37,7 +37,7 @@ __all__ = ["JetData", "JetReduction", "NotStandardPosition", "reduce_jet",
 _S_RADIUS = 0.1
 
 
-class NotStandardPosition(PairOrbitError):
+class NotStandardPosition(InputError):
     """The antiholomorphic linear term exceeds the near-identity radius."""
 
 

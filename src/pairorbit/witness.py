@@ -17,8 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pairnf
+from .closure import (
+    _sample_edge_instances,
+    b_rank,
+    det_p_of_classes,
+    pair_edges,
+    psi1_path,
+)
 from .congruence import StarTag
-from .families import FAMILIES, OrbitClass, representative, star_of
+from .families import FAMILIES, OrbitClass, representative, sample_params, star_of
 from .matcore import (
     Complex2x2,
     GroupElement,
@@ -154,19 +162,22 @@ def _isotropic_residual(dst: OrbitClass):
     return fun
 
 
+_COLUMN_TOL = 1e-12
+
+
 def _solve_column(fun, z_first, seed):
     """A root (x, u) of fun to 1e-12 from z_first or, failing that, from up to
     39 seeded random starts; None if every start misses.
 
     Each start gets 100 evaluations: every start that converges in a cold
-    catalog build does so in at most 53, while the starts that miss drift
+    catalog build does so in at most 49, while the starts that miss drift
     to |x| -> inf with u -> 0 on a flat cost of 0.159 and would otherwise
     spend the whole budget there before the next start is tried."""
     rng = np.random.default_rng(seed)
     for k in range(40):
         z0 = rng.uniform(-1.5, 1.5, 4) if k else z_first
-        sol = least_squares(fun, z0, max_nfev=100)
-        if np.sqrt(2 * sol.cost) < 1e-12:
+        sol = least_squares(fun, z0, max_nfev=100, residual_tol=_COLUMN_TOL)
+        if 2.0 * sol.cost <= _COLUMN_TOL ** 2:
             return complex(sol.x[0], sol.x[1]), complex(sol.x[2], sol.x[3])
     return None
 
@@ -550,7 +561,6 @@ _SOLVED_SOURCES = ((S, "zero"), (S, "a_plus_0"), (Z, "rank1"))
 
 def _solved_instance(sk, dk, cond):
     """(src, dst) of one sampled instance of the edge sk -> dk, or None."""
-    from .closure import _sample_edge_instances
     inst = _sample_edge_instances(sk, dk, cond, 1, seed=17)
     return inst[0] if inst else None
 
@@ -560,14 +570,12 @@ def _catalog_solved(covered):
     source has A = 1+0 (first column solves the target's stabilizer
     equations) or source (0_2, 1+0) (A-isotropic first column), plus the
     universal shrink from the origin."""
-    from .closure import pair_edges
     out = []
     z0 = OrbitClass(Z, "zero", {})
     for (sk, dk), cond in sorted(pair_edges().items()):
         if (sk, dk) in covered:
             continue
         if sk == z0.key():
-            from .families import sample_params
             dst = sample_params(FAMILIES[dk], n=1, seed=11)[0]
             out.append(WitnessFamily(
                 f"origin->{dk[0]}|{dk[1]}", z0, dst,
@@ -708,7 +716,6 @@ def _perturbations(eps, n, seed):
 def _psi1_slack_ok(src: OrbitClass, dst: OrbitClass, kappa: float) -> bool:
     """Psi1 reachability allowing the reached continuous parameter to sit
     within kappa of the source family's boundary value."""
-    from .closure import psi1_path
     if psi1_path(star_of(src), star_of(dst)):
         return True
     st, dt = src.a_family, dst.a_family
@@ -743,7 +750,6 @@ def reachable_with_slack(src: OrbitClass, reached: OrbitClass,
     the A part must be reachable up to a parameter window, and the
     determinant invariant must vanish up to an eps-proportional residual.
     """
-    from .closure import b_rank, det_p_of_classes
     if reached.key() == src.key():
         return True
     kappa = max(60.0 * eps, 12.0 * np.sqrt(eps))
@@ -766,7 +772,6 @@ def perturb_experiment(cls: OrbitClass, eps: float, n: int,
                        seed: int = 0) -> PerturbReport:
     """Classify n perturbed copies of representative(cls) and check every
     reached family against the closure graph (with eps-windows)."""
-    from .pairnf import classify_pair
     if not 0.0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
     if n < 1:
@@ -783,7 +788,8 @@ def perturb_experiment(cls: OrbitClass, eps: float, n: int,
     for i in range(n):
         pert = MatrixPair(Complex2x2(As[i]), Sym2x2(Bs[i]))
         try:
-            got = classify_pair(pert)
+            # looked up per call, so a wrapped pairnf.classify_pair is seen
+            got = pairnf.classify_pair(pert)
         except PairOrbitError as e:
             name = type(e).__name__
             unresolved_by[name] = unresolved_by.get(name, 0) + 1

@@ -116,6 +116,12 @@ def test_phase_estimate_precondition():
         phase_estimate(Complex2x2(I2), Complex2x2(I2), 0.2)
     with pytest.raises(PreconditionViolated):
         phase_estimate(Complex2x2(np.diag([1.0, 0.0])), Complex2x2(I2), 0.0)
+    # NaN passes both halves of `E_norm < 0 or E_norm > radius`
+    for bad, msg in ((float("nan"), "finite"), (float("inf"), "finite"),
+                     (-1.0, "nonnegative"), (0.2, "exceeds")):
+        with pytest.raises(PreconditionViolated, match=msg):
+            phase_estimate(Complex2x2(I2), Complex2x2(I2), bad)
+    assert phase_estimate(Complex2x2(I2), Complex2x2(I2), 0.0) == (0.0, 0.0, 0.0)
 
 
 def test_phase_estimate_monte_carlo():

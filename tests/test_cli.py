@@ -184,6 +184,36 @@ def test_no_scipy_import():
     assert out.stderr.strip() == "[]"
 
 
+MAT_I = json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]])
+ZERO_CLASS = json.dumps({"a_family": "zero", "b_form": "zero"})
+JET_I = json.dumps({"A": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                    "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+                    "C": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]})
+
+
+# one successful run of every subcommand, so that each import a subcommand
+# makes when it runs is executed at least once
+@pytest.mark.parametrize("argv", [
+    ("classify", "--pair", PAIR_I_DIAG12),
+    ("dim", "--pair", PAIR_I_DIAG12),
+    ("path", "--src", ZERO_CLASS, "--dst", ZERO_CLASS),
+    ("graph", "psi1"),
+    ("graph", "psi2", "--format", "json"),
+    ("graph", "pair"),
+    ("validate", "--samples", "1"),
+    ("maxf", "--a", "0", "--b", "0", "--d", "2", "--theta", "1.0"),
+    ("bounds", "--src", PAIR_I_DIAG12, "--dst", PAIR_I_DIAG12),
+    ("phase", "--src", MAT_I, "--dst", MAT_I, "--enorm", "0.01"),
+    ("witness",),
+    ("perturb", "--class", ZERO_CLASS, "--eps", "1e-3", "--samples", "2"),
+    ("jet", "--jet", JET_I),
+], ids=lambda argv: "-".join(argv[:2]) if argv[0] == "graph" else argv[0])
+def test_every_subcommand_runs(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.strip()
+
+
 JORDAN_OFF_TABLE = json.dumps({
     "A": [[[0, 0], [1, 0]], [[1, 0], [0, 1]]],
     "B": [[[1, 0], [0.5, 0]], [[0.5, 0], [0.3, 0.2]]]})
@@ -214,6 +244,10 @@ def test_bounds_undecided_src_exit_3(capsys):
      "--eps", "nan"),
     ("perturb", "--class", json.dumps({"a_family": "zero", "b_form": "zero"}),
      "--eps", "inf"),
+    ("phase", "--src", MAT_I, "--dst", MAT_I, "--enorm", "nan"),
+    ("phase", "--src", MAT_I, "--dst", MAT_I, "--enorm", "inf"),
+    ("phase", "--src", MAT_I, "--dst", MAT_I, "--enorm", "-1"),
+    ("phase", "--src", MAT_I, "--dst", MAT_I, "--enorm", "0.2"),
 ])
 def test_invalid_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
