@@ -262,6 +262,8 @@ def main(argv=None):
             return _input_error("--strict requires an explicit --seed for "
                                 "randomized subcommands")
         args.seed = 0
+    if args.seed < 0:
+        return _input_error("--seed must be nonnegative")
     if not args.tol > 0:
         return _input_error("--tol must be positive")
     if not 0.0 < getattr(args, "eps", 1.0) < math.inf:

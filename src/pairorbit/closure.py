@@ -119,8 +119,10 @@ def psi1_path(src: StarClass, dst: StarClass) -> bool:
 # relative step below which the iteration has reached rounding
 _NEWTON_STEPS = 10
 _STEP_TOL = 4.0 * np.finfo(float).eps
-# points per bracket and step when max_f zooms in on a maximum of h
+# points per bracket and step when max_f zooms in on a maximum of h, and the
+# number of local maxima of its scan that it zooms
 _ZOOM_POINTS = 33
+_PEAKS = 4
 
 
 def _beta_max(u, w, v):
@@ -139,8 +141,9 @@ def _beta_max(u, w, v):
     rounding, or after _NEWTON_STEPS steps.  When B < e, the limits t -> 0,
     sin gamma = -Im Q (u - s) / e, are the farthest points for Q on the
     minor axis (A = 0).  The maximum runs over f evaluated at the root's
-    point, at those two points and at beta = 0, pi, +-pi/2, so every value is
-    f at a real beta: an unconverged root costs a quadratic error, never an
+    point, at those two points and at beta = 0, pi, +-pi/2, where f is
+    |w + (u + v)|, |w - (u + v)| and |w +- i (u - v)|, so every value is f at
+    a real beta: an unconverged root costs a quadratic error, never an
     overestimate.
     """
     u, w, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(w, float),
@@ -165,20 +168,77 @@ def _beta_max(u, w, v):
         t = t + step
         if np.all(np.abs(step) <= _STEP_TOL * t):
             break
-    # e^{i gamma} of the root's point and of the two t -> 0 points
+    # e^{i beta} of the root's point and of the two t -> 0 points, as a
+    # (3, ...) stack; beta = 0, pi, +-pi/2 are evaluated in closed form
     sg = np.divide(-Q.imag * m, e, out=np.zeros_like(e), where=minor)
     cg = np.sqrt(1.0 - sg * sg)
-    z = np.empty(u.shape + (7,), complex)
-    z[..., 0] = np.where(root, (-Q.real * p / t) - 1j * (Q.imag * m / (t + e)),
-                         1.0)
-    z[..., 1] = cg + 1j * sg
-    z[..., 2] = -cg + 1j * sg
-    z[..., :3] *= eih[..., None]
-    z[..., 3:] = [1.0, -1.0, 1j, -1j]
+    z = np.stack([np.where(root, (-Q.real * p / t) - 1j * (Q.imag * m / (t + e)),
+                           1.0),
+                  cg + 1j * sg, -cg + 1j * sg]) * eih
     r = np.abs(z)
     z = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
-    return np.max(np.abs(u[..., None] * z + w[..., None]
-                         + v[..., None] * np.conj(z)), axis=-1)
+    uv, iuv = u + v, 1j * (u - v)
+    return np.max([*np.abs(u * z + w + v * np.conj(z)), np.abs(w + uv),
+                   np.abs(w - uv), np.abs(w + iuv), np.abs(w - iuv)], axis=0)
+
+
+def _arc_h(xi, a, b, d, theta):
+    """h(xi), the beta-maximum of f at the point of the constraint arc with
+    direction angle xi: (R, T) = (r^2, t^2) = rho (cos xi, sin xi) with
+    rho^-2 = 1 + cos(theta) sin(2 xi).  Where that sum would cancel (the
+    second term below -1/2, near xi = pi / 4 for theta near pi, where the
+    arc's peak is narrow), it is evaluated as 2 cos^2(theta / 2)
+    + 2 |cos(theta)| sin^2(xi - pi / 4), a sum of two positive terms."""
+    ct = np.cos(theta)
+    cs = ct * np.sin(2.0 * xi)
+    den = np.where(cs > -0.5, 1.0 + cs,
+                   2.0 * np.cos(theta / 2.0) ** 2
+                   - 2.0 * ct * np.sin(xi - np.pi / 4.0) ** 2)
+    rho = 1.0 / np.sqrt(den)
+    R, T = rho * np.cos(xi), rho * np.sin(xi)
+    return _beta_max(a * R, 2.0 * b * np.sqrt(R * T), d * T)
+
+
+def _vertex(x0, x1, x2, f0, f1, f2):
+    """Abscissa of the vertex of the parabola through (x0, f0), (x1, f1) and
+    (x2, f2), where x0 <= x1 <= x2 and f1 is the largest value; x1 where the
+    parabola is flat.  The vertex lies between the midpoints of the two
+    cells, and it is clamped to [x0, x2] against rounding."""
+    dl, dr, gl, gr = x1 - x0, x2 - x1, f1 - f0, f1 - f2
+    den = dr * gl + dl * gr
+    if not den > 0:
+        return x1
+    return min(max(x1 + (dr * dr * gl - dl * dl * gr) / (2.0 * den), x0), x2)
+
+
+def _window(x, f, inside, tol):
+    """(lo, hi), the part of the bracket [x[1], x[3]] that max_f samples
+    next.  x[2] is the bracket's best point, x[1] and x[3] its nearest
+    points, x[0] and x[4] the next-nearest, f their values; inside says
+    whether the last step's best point fell inside its window."""
+    if not inside:
+        return x[1], x[3]
+    v = _vertex(*x[1:4], *f[1:4])
+    hw = max(abs(_vertex(*x[::2], *f[::2]) - v),
+             (_ZOOM_POINTS - 1) * max(tol / 50.0, math.ulp(x[2])))
+    return max(x[1], v - hw), min(x[3], v + hw)
+
+
+def _around_best(X, F):
+    """The best of the points (X, F) with its two nearest points on each
+    side, as two lists of 5 ordered by x.  A repeated x counts once, with its
+    largest value; where a side runs out, its last point repeats (the best
+    point itself if the side has none)."""
+    xs, fs = [], []
+    for x, f in sorted(zip(X, F)):
+        if xs and x == xs[-1]:
+            fs[-1] = f
+        else:
+            xs.append(x)
+            fs.append(f)
+    j = max(range(len(fs)), key=fs.__getitem__)
+    near = [min(max(k, 0), len(xs) - 1) for k in range(j - 2, j + 3)]
+    return [xs[k] for k in near], [fs[k] for k in near]
 
 
 def max_f(a: float, b: float, d: complex, theta: float,
@@ -190,14 +250,29 @@ def max_f(a: float, b: float, d: complex, theta: float,
     power of two near their largest modulus, which is exact, and the result
     is multiplied back.  The feasible (R, T) = (r^2, t^2) arc is
     parametrized by the direction angle xi in [0, pi/2], and h(xi) is the
-    exact inner beta-maximum (`_beta_max`).  h is evaluated on a 600-point
-    xi grid in one batched call.  The brackets around its 4 largest grid
-    values are then zoomed side by side: each step evaluates h once on
-    _ZOOM_POINTS evenly spaced points of every live bracket and keeps the
-    two cells around each bracket's best point.  A bracket stops once its
-    width in xi is at most tol / 10, or once it no longer shrinks in
-    floating point.  a, b and d must be finite, and tol must be positive;
-    a maximum beyond the float range raises ValueError.
+    exact inner beta-maximum (`_arc_h`).  h is evaluated on a 600-point xi
+    grid in one batched call.  Each distinct local maximum of the grid, up
+    to _PEAKS of them and largest first, is bracketed by its two grid
+    neighbours, and the brackets are zoomed side by side.  Each step
+    evaluates h once on _ZOOM_POINTS evenly spaced points of a window in
+    every live bracket, then keeps the best point seen in the bracket and
+    the two cells around it.
+
+    The window is centred on the vertex of the parabola through the best
+    point and its nearest neighbours.  Its half-width is the distance from
+    there to the vertex through the next-nearest points.  At a smooth
+    maximum h is locally quadratic (a kink of h, a maximum of smooth
+    functions of xi, is a convex corner), and where h is cubic that
+    distance is at least three times the first vertex's error.  The window
+    is clipped to the bracket and never smaller than the size whose two
+    cells come a fifth under tol / 10.  When the best point lands on a
+    window edge inside the bracket, the maximum lies beyond the window, and
+    the next step spreads its points over the whole new bracket (Brent's
+    safeguard).  A bracket stops once its width in xi is at most tol / 10,
+    or once it no longer shrinks in floating point.  Every value is h at a
+    real xi, so the result never overestimates.  a, b and d must be finite,
+    and tol must be positive; a maximum beyond the float range raises
+    ValueError.
     """
     d = complex(d)
     if not np.all(np.isfinite([a, b, d])):
@@ -211,35 +286,32 @@ def max_f(a: float, b: float, d: complex, theta: float,
     k = math.frexp(max(a, b, abs(d.real), abs(d.imag)))[1]
     a, b = math.ldexp(a, -k), math.ldexp(b, -k)
     d = complex(math.ldexp(d.real, -k), math.ldexp(d.imag, -k))
-    ct = np.cos(theta)
-
-    def h(xi):
-        den = 1.0 + ct * np.sin(2.0 * xi)
-        rho = 1.0 / np.sqrt(den)
-        R, T = rho * np.cos(xi), rho * np.sin(xi)
-        return _beta_max(a * R, 2.0 * b * np.sqrt(R * T), d * T)
 
     n = 600
     xs = np.linspace(0.0, np.pi / 2.0, n)
-    vals = h(xs)
+    vals = _arc_h(xs, a, b, d, theta)
     best = np.max(vals)
-    top = np.argsort(vals)[::-1][:4]
-    lo = xs[np.maximum(top - 1, 0)]
-    hi = xs[np.minimum(top + 1, n - 1)]
+    # a run of equal grid values is one local maximum, at its first point
+    rise = np.concatenate(([True], vals[1:] > vals[:-1]))
+    fall = np.concatenate((vals[:-1] >= vals[1:], [True]))
+    peaks = np.flatnonzero(rise & fall)
+    peaks = peaks[np.argsort(-vals[peaks], kind="stable")[:_PEAKS]]
+    near = np.clip(peaks[:, None] + np.arange(-2, 3), 0, n - 1)
+    live = [(x, f, True) for x, f in zip(xs[near].tolist(), vals[near].tolist())
+            if x[3] - x[1] > tol / 10.0]
     frac = np.linspace(0.0, 1.0, _ZOOM_POINTS)
-    live = hi - lo > tol / 10.0
-    while live.any():
-        i = np.flatnonzero(live)
-        width = hi[i] - lo[i]
-        pts = np.minimum(lo[i, None] + width[:, None] * frac, hi[i, None])
-        hv = h(pts)
+    while live:
+        lo, hi = np.array([_window(*z, tol) for z in live]).T
+        pts = np.minimum(lo[:, None] + (hi - lo)[:, None] * frac, hi[:, None])
+        hv = _arc_h(pts, a, b, d, theta)
         best = max(best, np.max(hv))
-        j = np.argmax(hv, axis=1)
-        rows = np.arange(len(i))
-        lo[i] = pts[rows, np.maximum(j - 1, 0)]
-        hi[i] = pts[rows, np.minimum(j + 1, _ZOOM_POINTS - 1)]
-        shrunk = hi[i] - lo[i]
-        live[i] = (shrunk > tol / 10.0) & (shrunk < width)
+        brackets, live = live, []
+        for (x, f, _), p, q, l, u in zip(brackets, pts.tolist(), hv.tolist(),
+                                         lo, hi):
+            x2, f2 = _around_best(p + x, q + f)
+            width = x2[3] - x2[1]
+            if tol / 10.0 < width < x[3] - x[1]:
+                live.append((x2, f2, l <= x2[1] and x2[3] <= u))
     try:
         return math.ldexp(float(best), k)
     except OverflowError:

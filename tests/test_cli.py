@@ -229,6 +229,19 @@ def test_bounds_undecided_src_exit_3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("--seed", "-1", "validate", "--samples", "1"),
+    ("--seed", "-1", "perturb", "--class", ZERO_CLASS, "--eps", "1e-3",
+     "--samples", "1"),
+], ids=["validate", "perturb"])
+def test_negative_seed_exit_2(capsys, argv):
+    # numpy's default_rng rejects a negative seed with a ValueError, which
+    # used to escape as a traceback with exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--seed" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("jet", "--jet", json.dumps({
         "A": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
         "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from pairorbit.closure import (
     psi2_path,
     validate_graph,
 )
-from pairorbit.closure import _beta_max, _sample_edge_instances
+from pairorbit import closure
+from pairorbit.closure import _arc_h, _beta_max, _sample_edge_instances
 from pairorbit.congruence import StarClass
 from pairorbit.congruence import StarTag as T
 from pairorbit.families import (
@@ -107,6 +110,124 @@ def test_max_f_against_brute_force():
         worst = max(worst, abs(max_f(a, b, d, theta)
                                - brute_force_grid(a, b, d, theta)))
     assert worst < 1e-4
+
+
+def _zoom_max_f(a, b, d, theta, tol=1e-9):
+    """Reference search over the same h: the brackets around the 4 largest
+    values of the 600-point scan are zoomed side by side, each step on 33
+    evenly spaced points of the whole bracket, keeping the two cells around
+    the best point, until they are at most tol / 10 wide or stop shrinking."""
+    d = complex(d)
+    k = math.frexp(max(a, b, abs(d.real), abs(d.imag)))[1]
+    a, b = math.ldexp(a, -k), math.ldexp(b, -k)
+    d = complex(math.ldexp(d.real, -k), math.ldexp(d.imag, -k))
+    n = 600
+    xs = np.linspace(0.0, np.pi / 2.0, n)
+    vals = _arc_h(xs, a, b, d, theta)
+    best = np.max(vals)
+    top = np.argsort(vals)[::-1][:4]
+    lo = xs[np.maximum(top - 1, 0)]
+    hi = xs[np.minimum(top + 1, n - 1)]
+    frac = np.linspace(0.0, 1.0, 33)
+    live = hi - lo > tol / 10.0
+    while live.any():
+        i = np.flatnonzero(live)
+        width = hi[i] - lo[i]
+        pts = np.minimum(lo[i, None] + width[:, None] * frac, hi[i, None])
+        hv = _arc_h(pts, a, b, d, theta)
+        best = max(best, np.max(hv))
+        j = np.argmax(hv, axis=1)
+        rows = np.arange(len(i))
+        lo[i] = pts[rows, np.maximum(j - 1, 0)]
+        hi[i] = pts[rows, np.minimum(j + 1, 32)]
+        shrunk = hi[i] - lo[i]
+        live[i] = (shrunk > tol / 10.0) & (shrunk < width)
+    return math.ldexp(float(best), k)
+
+
+def _bench_shaped_queries(n, seed):
+    """(a, b, d, theta) drawn as the benchmark draws its max_f queries: a, b
+    uniform on [0, 2], both parts of d uniform on [-2, 2], theta uniform on
+    [0, 3.05]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        a, b = rng.uniform(0.0, 2.0, 2)
+        d = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        out.append((float(a), float(b), d, float(rng.uniform(0.0, 3.05))))
+    return out
+
+
+_SEEDED_MAXF = _bench_shaped_queries(300, seed=31)
+# each of a, b and d zero at theta from 0 to near pi, and the plateau
+# a = d, b = 0, theta = 0, where h = a at every xi
+_EDGE_MAXF = [q + (theta,)
+              for theta in (0.0, 1e-9, np.pi / 2.0, 3.05, 3.14)
+              for q in [(0.7, 1.1, 0.3 - 1j), (0.0, 1.1, 0.3 - 1j),
+                        (0.7, 0.0, 0.3 - 1j), (0.7, 1.1, 0.0)]] \
+    + [(1.3, 0.0, 1.3, 0.0)]
+
+
+def test_max_f_matches_zoom_reference():
+    for q in _SEEDED_MAXF + _EDGE_MAXF:
+        got, ref = max_f(*q), _zoom_max_f(*q)
+        assert abs(got - ref) <= 1e-12 * max(1.0, ref), (q, got, ref)
+
+
+def _profile_max_f(a, b, d, theta, n=200):
+    """Independent oracle for max_f at rounding level: the phase maximum of
+    `_companion_beta_max` at each point of the arc, with the arc's
+    rho^-2 = (cos xi + sin xi)^2 cos^2(theta / 2)
+    + (cos xi - sin xi)^2 sin^2(theta / 2) (no cancellation at any theta),
+    on an n-point xi grid, then zoomed 11 times by 10 around the best point.
+    brute_force_grid cannot serve at this level: its 2-D zoom misses maxima
+    within a cell of xi = pi / 2 by up to 2e-5, and near theta = pi its
+    1 + cos(theta) sin(2 xi) loses 5e-11 to cancellation."""
+    c2, s2 = np.cos(theta / 2.0) ** 2, np.sin(theta / 2.0) ** 2
+
+    def h(xi):
+        c, s = np.cos(xi), np.sin(xi)
+        den = (c + s) ** 2 * c2 + (c - s) ** 2 * s2
+        R, T = c / np.sqrt(den), s / np.sqrt(den)
+        return _companion_beta_max(a * R, 2.0 * b * np.sqrt(R * T), d * T)
+
+    xs = np.linspace(0.0, np.pi / 2.0, n)
+    vals = h(xs)
+    best = float(np.max(vals))
+    cx, hx = xs[np.argmax(vals)], xs[1] - xs[0]
+    for _ in range(11):
+        sub = np.clip(np.linspace(cx - hx, cx + hx, 21), 0.0, np.pi / 2.0)
+        vals = h(sub)
+        best = max(best, float(np.max(vals)))
+        cx, hx = sub[np.argmax(vals)], hx / 10.0
+    return best
+
+
+def test_max_f_never_exceeds_profile_oracle():
+    # every value max_f returns is h at a real xi, so it cannot pass the
+    # true maximum
+    for q in _SEEDED_MAXF + _EDGE_MAXF:
+        got = max_f(*q)
+        assert got - _profile_max_f(*q) <= 1e-12 * max(1.0, got), q
+
+
+def test_max_f_kernel_call_budget(monkeypatch):
+    # one scan and about two zoom steps per query; the zoom of the 4 largest
+    # scan values took 8 calls on every query
+    calls = []
+
+    def counted(u, w, v):
+        calls.append(np.shape(u))
+        return _beta_max(u, w, v)
+
+    monkeypatch.setattr(closure, "_beta_max", counted)
+    counts = []
+    for q in _SEEDED_MAXF:
+        calls.clear()
+        max_f(*q)
+        counts.append(len(calls))
+    assert max(counts) <= 8, max(counts)
+    assert np.mean(counts) <= 3.5, np.mean(counts)
 
 
 @pytest.mark.parametrize("args", [
