@@ -180,15 +180,17 @@ def takagi(B: np.ndarray):
 
 
 def _sqrtm_2x2(Z: np.ndarray) -> np.ndarray:
-    """Principal square root of a 2x2 matrix via its Schur form."""
+    """Principal square root of a 2x2 matrix via its eigendecomposition.
+
+    A defective or near-defective Z (eigenvector matrix with condition
+    number above 1e6, where the eigenvector path loses more than about
+    1e-10) is lam I + N with N nilpotent to within (lam1 - lam2)^2 / 4,
+    lam = tr Z / 2; its principal root is sqrt(lam) (I + N / (2 lam)) =
+    (Z + lam I) / (2 sqrt(lam))."""
     evals, vecs = np.linalg.eig(Z)
-    if np.linalg.matrix_rank(vecs) < 2:
-        # defective: fall back to a series-free direct formula
-        tr = np.trace(Z)
-        det = np.linalg.det(Z)
-        s = np.sqrt(det)
-        t = np.sqrt(tr + 2 * s)
-        return (Z + s * np.eye(2)) / t
+    if np.linalg.cond(vecs) > 1e6:
+        lam = 0.5 * complex(np.trace(Z))
+        return (Z + lam * np.eye(2)) / (2.0 * np.sqrt(lam))
     return vecs @ np.diag(np.sqrt(evals.astype(complex))) @ np.linalg.inv(vecs)
 
 

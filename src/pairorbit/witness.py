@@ -8,11 +8,16 @@ where the received variants fail numerically; those variants are kept in
 TRIAGED) with systematically constructed curves:
 for a source (1+0, a~+0) the first column of P solves the target's two
 stabilizer equations and the second column shrinks with s, and similarly
-for sources (0_2, 1+0) with an A-isotropic first column.
+for sources (0_2, 1+0) with an A-isotropic first column.  Both first
+columns are a point of CP^1 and a scale found in closed form or by a scan
+and a bisection, so building the catalog runs no optimiser.  Every curve is
+reparametrized s -> s^k so that the standard sweep reaches 1e-7.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +38,13 @@ from .matcore import (
     MatrixPair,
     PairOrbitError,
     Sym2x2,
-    act_pair,
     compose,
     group_inverse,
-    least_squares,
     max_norm,
-    pair_distance,
 )
+# no longer called here, but the benchmark's tracer (bench/tracing.py)
+# wraps witness.least_squares; the binding goes when that tracer stops
+from .matcore import least_squares  # noqa: F401
 from .pairnf import _QJH, _gel
 
 __all__ = ["WitnessFamily", "ConvergenceReport", "DivergenceDetected",
@@ -85,6 +90,23 @@ class ConvergenceReport:
     passed: bool
 
 
+def _sweep_residual(curve, s, rep_dst: MatrixPair, rep_src: MatrixPair) -> float:
+    """pair_distance(act_pair(curve(s), rep_dst), rep_src), bitwise, on raw
+    arrays: the same products and re-symmetrization as act_star, act_tcong
+    and Sym2x2.symmetrize, and the same ValueError on non-finite entries."""
+    g = curve(s)
+    P = g.P
+    A = g.c * (P.conj().T @ rep_dst.A.m @ P)
+    M = P.T @ rep_dst.B.m @ P
+    off = 0.5 * (M[0, 1] + M[1, 0])
+    B = np.array([[M[0, 0], off], [off, M[1, 1]]])
+    dA = float(np.abs(A - rep_src.A.m).max())
+    dB = float(np.abs(B - rep_src.B.m).max())
+    if not math.isfinite(dA + dB):
+        raise ValueError("matrix entries must be finite")
+    return max(dA, dB)
+
+
 def verify_witness(w: WitnessFamily, s_values=None, tol: float = 1e-6,
                    strict: bool = True) -> ConvergenceReport:
     """Evaluate the witness residual along a decreasing s sweep.
@@ -101,10 +123,7 @@ def verify_witness(w: WitnessFamily, s_values=None, tol: float = 1e-6,
                          "decreasing")
     rep_src = representative(w.src)
     rep_dst = representative(w.dst)
-    res = []
-    for s in s_values:
-        g = w.curve(s)
-        res.append(pair_distance(act_pair(g, rep_dst), rep_src))
+    res = [_sweep_residual(w.curve, s, rep_dst, rep_src) for s in s_values]
     monotone = all(r2 < r1 for r1, r2 in zip(res, res[1:]))
     final = res[-1]
     passed = monotone and final <= tol
@@ -115,81 +134,107 @@ def verify_witness(w: WitnessFamily, s_values=None, tol: float = 1e-6,
 
 
 # ---------------------------------------------------------------------------
-# the target's forms on the first column v = (x, u) of P: the (1,1) entries
-# v* A v of P* A P and v^T B v of P^T B P, with their derivatives along
-# z = (Re x, Im x, Re u, Im u).
+# first columns on CP^1.  For v = t w with |w| = 1 the target's forms on the
+# first column are v* A v = |t|^2 w* A w and v^T B v = t^2 w^T B w, so each
+# stabilizer system is a point w of CP^1 and a closed-form scale t.
 # ---------------------------------------------------------------------------
 
-def _forms_jac(z, A, B):
-    """(v* A v, v^T B v) at v = (z0 + i z1, z2 + i z3) and their complex
-    derivatives along the four real coordinates."""
-    v = np.array([complex(z[0], z[1]), complex(z[2], z[3])])
-    Av, vhA, Bv = A @ v, v.conj() @ A, B @ v
-    # dv = e_j: (A v)_j + (v* A)_j and 2 (B v)_j; dv = i e_j: i times
-    # (v* A)_j - (A v)_j and 2 (B v)_j
-    da = np.empty(4, dtype=complex)
-    da[0::2] = Av + vhA
-    da[1::2] = 1j * (vhA - Av)
-    db = np.empty(4, dtype=complex)
-    db[0::2] = 2.0 * Bv
-    db[1::2] = 2j * Bv
-    return vhA @ v, v @ Bv, da, db
+# the scan grid w = (cos alpha, sin alpha e^{i beta}) over CP^1
+_ALPHA = np.linspace(0.0, 0.5 * np.pi, 33)
+_BETA = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+_GRID = (np.cos(_ALPHA)[:, None], np.sin(_ALPHA)[:, None] * np.exp(1j * _BETA))
 
 
-def _first_column_residual(dst: OrbitClass, atil: float):
-    """(r, J) of |v* A v| - 1 and v^T B v - atil over the target's forms."""
+def _w(alpha, beta):
+    return math.cos(alpha), math.sin(alpha) * cmath.exp(1j * beta)
+
+
+def _forms(w0, w1, A, B):
+    """(w* A w, w^T B w) for A, B given as nested lists; w0, w1 may be
+    Python numbers or broadcasting arrays."""
+    (a00, a01), (a10, a11) = A
+    (b00, b01), (_, b11) = B
+    c0, c1 = w0.conjugate(), w1.conjugate()
+    return (c0 * (a00 * w0 + a01 * w1) + c1 * (a10 * w0 + a11 * w1),
+            b00 * w0 * w0 + 2.0 * b01 * w0 * w1 + b11 * w1 * w1)
+
+
+def _first_column(dst: OrbitClass, atil: float):
+    """(x, u, c) with c v* A v = 1 and v^T B v = atil for v = (x, u) over
+    the target's forms, or None where the scan finds no solution.
+
+    For atil > 0 the direction w solves |w^T B w| = atil |w* A w|: of the
+    scan cells (adjacent alpha, fixed beta) where that difference changes
+    sign, the one whose ends have the largest min |w* A w| (the smallest
+    |t|, the best-conditioned curve) is bisected in alpha to rounding, and
+    t = |w* A w|^{-1/2} e^{-i arg(w^T B w) / 2}.  For atil = 0, w is a root
+    of b11 w0^2 + 2 b12 w0 w1 + b22 w1^2, the one with the larger |w* A w|
+    / |w|^2 (the scan point with the largest |w* A w| when B = 0), and
+    t = |w* A w|^{-1/2}; v = t w does not depend on the length of w."""
     rep = representative(dst)
-    A, B = rep.A.m, rep.B.m
-
-    def fun(z):
-        va, vb, da, db = _forms_jac(z, A, B)
-        r = np.array([abs(va) - 1.0, (vb - atil).real, (vb - atil).imag])
-        J = np.array([np.real(np.conj(va) * da) / max(abs(va), 1e-300),
-                      db.real, db.imag])
-        return r, J
-    return fun
-
-
-def _isotropic_residual(dst: OrbitClass):
-    """(r, J) of v* A v and v^T B v - 1 over the target's forms."""
-    rep = representative(dst)
-    A, B = rep.A.m, rep.B.m
-
-    def fun(z):
-        va, vb, da, db = _forms_jac(z, A, B)
-        r = np.array([va.real, va.imag, (vb - 1.0).real, (vb - 1.0).imag])
-        return r, np.array([da.real, da.imag, db.real, db.imag])
-    return fun
-
-
-_COLUMN_TOL = 1e-12
-
-
-def _solve_column(fun, z_first, seed):
-    """A root (x, u) of fun to 1e-12 from z_first or, failing that, from up to
-    39 seeded random starts; None if every start misses.
-
-    Each start gets 100 evaluations: every start that converges in a cold
-    catalog build does so in at most 49, while the starts that miss drift
-    to |x| -> inf with u -> 0 on a flat cost of 0.159 and would otherwise
-    spend the whole budget there before the next start is tried."""
-    rng = np.random.default_rng(seed)
-    for k in range(40):
-        z0 = rng.uniform(-1.5, 1.5, 4) if k else z_first
-        sol = least_squares(fun, z0, max_nfev=100, residual_tol=_COLUMN_TOL)
-        if 2.0 * sol.cost <= _COLUMN_TOL ** 2:
-            return complex(sol.x[0], sol.x[1]), complex(sol.x[2], sol.x[3])
-    return None
-
-
-def _solve_first_column(dst: OrbitClass, atil: float, seed: int = 0):
-    """Find (x, u, c) with c * v* A v = 1 and v^T B v = atil for v = (x, u)."""
-    sol = _solve_column(_first_column_residual(dst, atil),
-                        np.array([1.0, 0.1, 0.8, -0.2]), seed)
-    if sol is None:
+    A, B = rep.A.m.tolist(), rep.B.m.tolist()
+    if atil > 0.0:
+        wa, wb = _forms(*_GRID, A, B)
+        fa = np.abs(wa)
+        pos = np.abs(wb) - atil * fa > 0.0
+        score = np.where(pos[1:] != pos[:-1], np.minimum(fa[1:], fa[:-1]), 0.0)
+        j, k = np.unravel_index(np.argmax(score), score.shape)
+        if score[j, k] == 0.0:  # no cell, or only cells ending where w* A w = 0
+            return None
+        lo, hi = float(_ALPHA[j]), float(_ALPHA[j + 1])
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            a, b = _forms(*_w(mid, _BETA[k]), A, B)
+            if (abs(b) - atil * abs(a) > 0.0) == pos[j, k]:
+                lo = mid
+            else:
+                hi = mid
+        w = _w(lo, _BETA[k])
+    else:
+        (b00, b01), (_, b11) = B
+        sq = cmath.sqrt(b01 * b01 - b00 * b11)
+        q = -(b01 + sq) if abs(b01 + sq) >= abs(b01 - sq) else -(b01 - sq)
+        # the two roots in homogeneous form, (0, q) when b22 = 0; both
+        # vanish only when B = 0
+        roots = [w for w in ((b11, q), (q, b00)) if w[0] or w[1]]
+        if not roots:
+            j, k = np.unravel_index(np.argmax(np.abs(_forms(*_GRID, A, B)[0])),
+                                    (_ALPHA.size, _BETA.size))
+            roots = [_w(_ALPHA[j], _BETA[k])]
+        w = max(roots, key=lambda w: abs(_forms(*w, A, B)[0])
+                / (abs(w[0]) ** 2 + abs(w[1]) ** 2))
+    a, b = _forms(*w, A, B)
+    if not a:
         return None
-    v = np.array(sol)
-    return (*sol, 1.0 / (v.conj() @ representative(dst).A.m @ v))
+    t = abs(a) ** -0.5 * (cmath.exp(-0.5j * cmath.phase(b)) if atil > 0.0 else 1.0)
+    v = np.array([t * w[0], t * w[1]])
+    return (*v, 1.0 / (v.conj() @ rep.A.m @ v))
+
+
+def _isotropic_column(dst: OrbitClass):
+    """(x, u) with v* A v = 0 and v^T B v = 1 for v = (x, u) over the
+    target's forms, or None.  w runs over the explicit A-isotropic
+    directions of the normal form: e1 where a11 = 0, e2 where a22 = 0, and
+    for the [[0,h],[h,0]] form also (cos phi, i sin phi) on the interior of
+    the alpha grid; the one with the largest |w^T B w| is taken, and
+    t = (w^T B w)^{-1/2}."""
+    rep = representative(dst)
+    A, B = rep.A.m.tolist(), rep.B.m.tolist()
+    dirs = []
+    if A[0][0] == 0:
+        dirs.append((1.0, 0.0))
+    if A[1][1] == 0:
+        dirs.append((0.0, 1.0))
+    if A[0][0] == 0 == A[1][1] and A[0][1] == A[1][0]:
+        dirs += [(math.cos(p), 1j * math.sin(p)) for p in _ALPHA[1:-1]]
+    if not dirs:
+        return None
+    w = max(dirs, key=lambda w: abs(_forms(*w, A, B)[1]))
+    b = _forms(*w, A, B)[1]
+    if not b:
+        return None
+    t = 1.0 / cmath.sqrt(b)
+    return t * w[0], t * w[1]
 
 
 def _col_curve(x, u, c, q):
@@ -202,11 +247,11 @@ def _col_curve(x, u, c, q):
     return curve
 
 
-def _solved_witness(src: OrbitClass, dst: OrbitClass, name, citation,
-                    seed=0) -> WitnessFamily | None:
+def _solved_witness(src: OrbitClass, dst: OrbitClass, name,
+                    citation) -> WitnessFamily | None:
     """Generic curve for sources (1+0, a~+0) / (1+0, 0_2)."""
     atil = float(np.real(src.params.get("a", 0.0)))
-    sol = _solve_first_column(dst, atil, seed)
+    sol = _first_column(dst, atil)
     if sol is None:
         return None
     x, u, c = sol
@@ -219,11 +264,10 @@ def _solved_witness(src: OrbitClass, dst: OrbitClass, name, citation,
     return WitnessFamily(name, src, dst, _col_curve(x, u, c, q), citation)
 
 
-def _z1_witness(dst: OrbitClass, name, citation, seed=0):
+def _z1_witness(dst: OrbitClass, name, citation):
     """Generic curve for the source (0_2, 1+0): A-isotropic first column
     with the B form normalized to 1."""
-    sol = _solve_column(_isotropic_residual(dst), np.array([0.7, 0.0, 0.7, 0.1]),
-                        seed)
+    sol = _isotropic_column(dst)
     if sol is None:
         return None
     x, u = sol
@@ -618,13 +662,20 @@ def _autotune(entry: WitnessFamily) -> WitnessFamily | None:
     """Reparametrize s -> s^k so the standard sweep reaches 1e-7 while the
     curve stays well conditioned; the reparametrization keeps the curve
     closed form and does not change the realized edge."""
+    rep_src, rep_dst = representative(entry.src), representative(entry.dst)
     for k in (1.0, 2.0, 1.5, 3.0, 1.25):
         cand = entry if k == 1.0 else _reparam(entry, k)
+        # verify_witness's pass rule at tol 1e-7, with the last point first:
+        # a k whose final residual is above tol fails whatever the others are
         try:
-            rep = verify_witness(cand, _SWEEP, tol=1e-7, strict=False)
+            final = _sweep_residual(cand.curve, _SWEEP[-1], rep_dst, rep_src)
+            if not final <= 1e-7:
+                continue
+            res = [_sweep_residual(cand.curve, s, rep_dst, rep_src)
+                   for s in _SWEEP[:-1]] + [final]
         except PairOrbitError:
             continue
-        if rep.passed:
+        if all(r2 < r1 for r1, r2 in zip(res, res[1:])):
             return cand
     return None
 

@@ -266,3 +266,55 @@ def test_invalid_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+def test_witness_verify_subcommand(capsys):
+    code, out, err = run(capsys, "witness", "--verify")
+    lines = out.splitlines()
+    assert code == 0 and err == ""
+    assert len(lines) == 142
+    assert all(line.startswith("ok ") for line in lines)
+
+
+def test_witness_verify_failing_entry_exit_3(capsys, monkeypatch):
+    # a constant curve leaves the residual at dist(I_2, 1+0) = 1
+    import numpy as np
+
+    import pairorbit.witness as wt
+    from pairorbit.families import family_of
+    from pairorbit.matcore import GroupElement
+    bad = wt.WitnessFamily("constant", family_of("rank1_semidef", "zero"),
+                           family_of("definite", "zero"),
+                           lambda s: GroupElement(1.0, np.eye(2)), "fails")
+    monkeypatch.setattr(wt, "_CATALOG", (*wt.witness_catalog(), bad))
+    code, out, _ = run(capsys, "witness", "--verify")
+    lines = out.splitlines()
+    assert code == 3 and len(lines) == 143
+    assert sum(line.startswith("ok ") for line in lines) == 142
+    assert lines[-1] == "FAIL constant: final residual 1.00e+00"
+
+
+@pytest.mark.parametrize("cls,msg", [
+    (("unimodular", "zero", {"theta": 0.0}), "theta must lie in (0, pi)"),
+    (("reciprocal", "zero", {"tau": 1.0}), "tau must lie in (0, 1)"),
+    (("reciprocal", "zero_b_eiphi", {"tau": 0.5, "b": 1.0, "phi": 3.2}),
+     "phi must lie in [0, pi)"),
+    (("unimodular", "generic",
+      {"theta": 1.0, "a": 1.0, "r": -0.5, "phi": 0.5, "d": 1.0}),
+     "r must be >= 0"),
+    (("definite", "d0_plus_d", {"d0": 0.5, "d": 1.0}), "d0 must equal 0 or d"),
+    (("indefinite", "a_lt_d", {"a": 2.0, "d": 1.0}), "a_lt_d requires 0 < a < d"),
+    (("rank1_semidef", "a_plus_0", {"a": [0.5, 0.1]}),
+     "a must be a positive real, got (0.5+0.1j)"),
+], ids=["theta", "tau", "phi", "r", "d0", "a_lt_d", "positive"])
+def test_class_range_errors_exit_2(capsys, cls, msg):
+    fam, form, params = cls
+    text = json.dumps({"a_family": fam, "b_form": form, "params": params})
+    try:
+        code = main(["perturb", "--class", text, "--eps", "1e-3",
+                     "--samples", "1"])
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: bad orbit-class JSON: {msg}\n"

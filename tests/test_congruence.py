@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pairorbit.congruence import (
     _kappa,
+    _sqrtm_2x2,
     AmbiguousNearBoundary,
     StarClass,
     StarTag,
@@ -205,6 +206,27 @@ def test_takagi_factorization():
         assert max_norm(U @ U.conj().T - np.eye(2)) < 1e-10
         assert max_norm(U @ np.diag(s) @ U.T - B) < 1e-10
         assert s[0] >= s[1] >= 0
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0, 4.0])
+def test_sqrtm_of_defective_matrices(lam):
+    # lam I + N with N = [[i, 1], [1, -i]] nilpotent: a double eigenvalue
+    # with one eigenvector.  The eigenvector path was off by 0.33 at
+    # lam = -1 and by 1.2e-8 at lam = 1
+    Z = lam * np.eye(2) + np.array([[1j, 1.0], [1.0, -1j]])
+    R = _sqrtm_2x2(Z)
+    assert max_norm(R @ R - Z) <= 1e-14 * max_norm(Z)
+    # the principal root: its double eigenvalue is sqrt(lam), Re >= 0
+    assert abs(np.trace(R) - 2.0 * np.sqrt(complex(lam))) <= 1e-14 * abs(lam)
+
+
+def test_sqrtm_of_diagonalizable_matrices():
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        Z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        R = _sqrtm_2x2(Z)
+        assert max_norm(R @ R - Z) <= 1e-12 * max_norm(Z)
+        assert np.all(np.linalg.eigvals(R).real >= 0)
 
 
 def test_classify_tcong_examples():

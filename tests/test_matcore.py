@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pairorbit.congruence import StarTag
-from pairorbit.families import family_of
+from pairorbit.families import family_of, representative
 from pairorbit.matcore import (
     Complex2x2,
     GroupElement,
@@ -22,7 +22,6 @@ from pairorbit.matcore import (
     sample_group,
     sample_pair,
 )
-from pairorbit.witness import _first_column_residual
 
 I2 = np.eye(2)
 
@@ -171,13 +170,32 @@ def test_least_squares_underdetermined_root():
     assert abs(sol.x.sum() - 1.0) < 1e-14
 
 
+def _first_column_residual(A, B, atil):
+    """(r, J) of |v* A v| - 1 and v^T B v - atil at v = (z0 + i z1, z2 + i z3),
+    with J along the four real coordinates: 3 equations in 4 unknowns."""
+    def fun(z):
+        v = np.array([complex(z[0], z[1]), complex(z[2], z[3])])
+        Av, vhA, Bv = A @ v, v.conj() @ A, B @ v
+        va, vb = vhA @ v, v @ Bv
+        da = np.empty(4, dtype=complex)
+        da[0::2], da[1::2] = Av + vhA, 1j * (vhA - Av)
+        db = np.empty(4, dtype=complex)
+        db[0::2], db[1::2] = 2.0 * Bv, 2j * Bv
+        r = np.array([abs(va) - 1.0, (vb - atil).real, (vb - atil).imag])
+        J = np.array([np.real(np.conj(va) * da) / max(abs(va), 1e-300),
+                      db.real, db.imag])
+        return r, J
+    return fun
+
+
 def test_least_squares_wide_step_stays_in_row_space():
-    # the witness first-column system: 3 equations in 4 unknowns.  Solved
-    # through J^T J + mu I, rounding in J^T r drove steps along the null
-    # space of J and this start ran to max_nfev = 600 at a residual of 3e-21
-    dst = family_of(StarTag.UNIMODULAR, "zero_plus_d", theta=0.3,
-                    d=1.7331137262502472)
-    fun = _first_column_residual(dst, 0.0)
+    # a first column of P with c v* A v = 1 and v^T B v = 0 over a unimodular
+    # representative, as a least-squares system.  Solved through
+    # J^T J + mu I, rounding in J^T r drove steps along the null space of J
+    # and this start ran to max_nfev = 600 at a residual of 3e-21
+    rep = representative(family_of(StarTag.UNIMODULAR, "zero_plus_d", theta=0.3,
+                                   d=1.7331137262502472))
+    fun = _first_column_residual(rep.A.m, rep.B.m, 0.0)
     evals = []
 
     def logged(z):

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +22,7 @@ from pairorbit.witness import (
     verify_witness,
     witness_catalog,
 )
-from pairorbit.matcore import GroupElement, least_squares
+from pairorbit.matcore import GroupElement, act_pair, max_norm, pair_distance
 
 
 def test_catalog_size_and_metadata():
@@ -71,23 +77,52 @@ def test_verify_witness_rejects_bad_sweep():
 
 
 def test_cold_catalog_evaluation_counts(monkeypatch):
-    # counts, not seconds: a cold build ran 4,264 LM evaluations when
-    # converged underdetermined solves kept stepping along the null space
-    # of J until max_nfev, and 1,073 when converged solves ran on from the
-    # accepted 1e-12 to about 1e-32; it runs 818 when they stop at 1e-12
-    solves = []
+    # counts, not seconds: a cold build solves every first column in closed
+    # form on CP^1 and runs no optimiser; the autotune evaluates the last
+    # sweep point of each k first, so it makes 651 residual evaluations
+    # where four per attempted k made 900
+    def no_solver(*a, **k):
+        raise AssertionError("least_squares called")
 
-    def counted(fun, x0, max_nfev, **kw):
-        sol = least_squares(fun, x0, max_nfev, **kw)
-        solves.append(sol)
-        return sol
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return sweep_residual(*args)
+    sweep_residual = wt._sweep_residual
     monkeypatch.setattr(wt, "_CATALOG", None)
-    monkeypatch.setattr(wt, "least_squares", counted)
-    assert len(witness_catalog()) == 142
-    assert sum(s.nfev for s in solves) <= 1000
-    converged = [s for s in solves if np.sqrt(2 * s.cost) < 1e-12]
-    assert len(converged) >= 36
-    assert max(s.nfev for s in converged) <= 60
+    monkeypatch.setattr(wt, "least_squares", no_solver)
+    monkeypatch.setattr(wt, "_sweep_residual", counted)
+    cat = witness_catalog()
+    assert len(cat) == 142
+    assert len(calls) == 651
+    # 142 passing k take four points each; 83 rejected k take one
+    assert calls.count(wt._SWEEP[-1]) == 142 + 83
+    ks = Counter("s -> s^2.0]" in w.citation for w in cat)
+    assert ks == {True: 78, False: 64}
+
+
+def test_catalog_same_in_every_process():
+    # names, end classes and the curve at s = 0.5, bitwise, under two hash
+    # seeds
+    code = ("import hashlib\n"
+            "from pairorbit.witness import witness_catalog\n"
+            "for w in witness_catalog():\n"
+            "    g = w.curve(0.5)\n"
+            "    h = hashlib.sha256(complex(g.c).__repr__().encode()"
+            " + g.P.tobytes()).hexdigest()\n"
+            "    print(w.name, w.src.key(), sorted(w.src.params.items()),\n"
+            "          w.dst.key(), sorted(w.dst.params.items()), h)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0].count("\n") == 142
+    assert outs[0] == outs[1]
 
 
 def test_divergence_detected():
@@ -153,37 +188,56 @@ def _solved_targets():
     return out
 
 
-def test_witness_system_jacobians():
-    # both stabilizer systems against central differences, for every target
-    # of the solved curves
-    rng = np.random.default_rng(19)
-    targets = _solved_targets()
-    assert len(targets) >= 10
-    for _, src, dst in targets:
-        atil = float(np.real(src.params.get("a", 0.0)))
-        for fun in (wt._first_column_residual(dst, atil), wt._isotropic_residual(dst)):
-            for _ in range(3):
-                z = rng.uniform(-1.5, 1.5, 4)
-                J = fun(z)[1]
-                cols = []
-                for k in range(4):
-                    e = np.zeros(4)
-                    e[k] = 1e-6
-                    cols.append((fun(z + e)[0] - fun(z - e)[0]) / 2e-6)
-                err = np.max(np.abs(J - np.array(cols).T))
-                assert err <= 1e-6 * max(1.0, np.max(np.abs(J))), (str(dst), err)
-
-
-def test_witness_forms_match_the_representative():
-    # v* A v and v^T B v are the (1,1) entries of P* A P and P^T B P
-    rng = np.random.default_rng(23)
-    for _, _, dst in _solved_targets():
+def test_first_columns_solve_the_target_forms():
+    # c v* A v = 1 (with the unimodular c the curve uses) and v^T B v = a~,
+    # or v* A v = 0 and v^T B v = 1 for the isotropic source.  The 50
+    # targets of the solved curves must have a column; the targets the
+    # closed-form curves cover may have none, but never a wrong one
+    closed = {(w.src.key(), w.dst.key()) for w in witness_catalog()
+              if not w.name.startswith("solved")}
+    solved = 0
+    for sk, src, dst in _solved_targets():
         rep = representative(dst)
-        z = rng.standard_normal(4)
-        P = np.array([[complex(z[0], z[1]), 0.3], [complex(z[2], z[3]), 1.0]])
-        va, vb, _, _ = wt._forms_jac(z, rep.A.m, rep.B.m)
-        assert abs(va - (P.conj().T @ rep.A.m @ P)[0, 0]) < 1e-13
-        assert abs(vb - (P.T @ rep.B.m @ P)[0, 0]) < 1e-13
+        A, B = rep.A.m, rep.B.m
+        tol = 1e-12 * max(1.0, max_norm(A), max_norm(B))
+        if sk == (T.ZERO, "rank1"):
+            col = wt._isotropic_column(dst)
+            c, want_a, want_b = None, 0.0, 1.0
+        else:
+            atil = float(np.real(src.params.get("a", 0.0)))
+            col = wt._first_column(dst, atil)
+            if col is not None:
+                c, col = col[2] / abs(col[2]), col[:2]
+            want_a, want_b = 1.0, atil
+        if (src.key(), dst.key()) not in closed:
+            assert col is not None, str(dst)
+            solved += 1
+        if col is None:
+            continue
+        v = np.array(col)
+        va = v.conj() @ A @ v
+        assert abs((va if c is None else c * va) - want_a) <= tol, (str(dst), va)
+        assert abs(v @ B @ v - want_b) <= tol, (str(dst), v @ B @ v)
+    assert solved == 50
+
+
+def test_verify_witness_matches_act_pair_bitwise():
+    # the raw-array sweep residual against the validated action
+    sweep = (0.5, 1e-1, 1e-2, 1e-3, 1e-4)
+    for w in witness_catalog():
+        rep_src, rep_dst = representative(w.src), representative(w.dst)
+        want = [pair_distance(act_pair(w.curve(s), rep_dst), rep_src)
+                for s in sweep]
+        got = verify_witness(w, sweep, strict=False).residuals
+        assert np.array(got).tobytes() == np.array(want).tobytes(), w.name
+    # and the same error where the action overflows
+    rep = representative(family_of(T.DEFINITE, "zero"))
+    huge = lambda s: GroupElement(1.0, np.diag([1e200, 1.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            act_pair(huge(0.1), rep)
+        with pytest.raises(ValueError, match="finite"):
+            wt._sweep_residual(huge, 0.1, rep, rep)
 
 
 def _scalar_draws(eps, seed, i):
