@@ -37,6 +37,8 @@ __all__ = [
     "least_squares",
     "max_norm",
     "pair_distance",
+    "raw_act_pair",
+    "raw_pair_distance",
     "sample_group",
     "sample_pair",
     "mat_to_json",
@@ -225,6 +227,20 @@ def pair_distance(p: MatrixPair, q: MatrixPair) -> float:
     return max(max_norm(p.A.m - q.A.m), max_norm(p.B.m - q.B.m))
 
 
+def raw_act_pair(c, P: np.ndarray, p: MatrixPair):
+    """The entries (A, B) of act_pair(GroupElement(c, P), p), bitwise, as
+    plain arrays; unvalidated, so nan and inf entries pass through."""
+    M = P.T @ p.B.m @ P
+    off = 0.5 * (M[0, 1] + M[1, 0])
+    return c * (P.conj().T @ p.A.m @ P), np.array([[M[0, 0], off], [off, M[1, 1]]])
+
+
+def raw_pair_distance(A: np.ndarray, B: np.ndarray, q: MatrixPair) -> float:
+    """pair_distance of the entries (A, B) from q, bitwise; nan and inf
+    entries pass through."""
+    return float(np.maximum(np.abs(A - q.A.m).max(), np.abs(B - q.B.m).max()))
+
+
 def sample_group(seed: int, spread: float = 1.0) -> GroupElement:
     """Seeded random group element.
 
@@ -264,8 +280,7 @@ class LeastSquaresResult(NamedTuple):
     nfev: int     # joint residual-and-Jacobian evaluations
 
 
-def least_squares(fun, x0, max_nfev: int,
-                  residual_tol: float = 0.0) -> LeastSquaresResult:
+def least_squares(fun, x0, max_nfev: int) -> LeastSquaresResult:
     """Minimize |r(x)|^2 / 2 by Levenberg-Marquardt with Nielsen's damping.
 
     fun(x) returns (r, J), the residual vector and its Jacobian.  The damped
@@ -278,9 +293,8 @@ def least_squares(fun, x0, max_nfev: int,
     space of J (Nocedal and Wright, Numerical Optimization, 2nd ed., 10.3).
     An accepted step scales mu by max(1/3, 1 - (2 rho - 1)^3), where rho is
     the actual over the predicted decrease, and a rejected one by nu, which
-    then doubles.  Stops when the step falls below 1e-16 |x|, when |r|^2
-    falls to residual_tol^2 (for the default 0, when the cost reaches 0),
-    or after max_nfev evaluations.  A damped system that is
+    then doubles.  Stops when the step falls below 1e-16 |x|, when the cost
+    reaches 0, or after max_nfev evaluations.  A damped system that is
     singular in floating point counts as a rejected step.  There is
     deliberately no stop on a small relative decrease: slowly converging
     fallback solves still reach 1e-10 if allowed to run.
@@ -298,7 +312,7 @@ def least_squares(fun, x0, max_nfev: int,
     mu = 1e-12 * float(np.max(np.diag(A))) or 1e-12
     nu = 2.0
     eye = np.eye(r.size if wide else x.size)
-    while 2.0 * cost > residual_tol ** 2 and nfev < max_nfev:
+    while cost > 0.0 and nfev < max_nfev:
         try:
             if wide:
                 h = J.T @ np.linalg.solve(J @ J.T + mu * eye, -r)

@@ -39,6 +39,8 @@ from .matcore import (
     least_squares,
     max_norm,
     pair_distance,
+    raw_act_pair,
+    raw_pair_distance,
 )
 
 __all__ = ["ClassifiedPair", "StabilizerSolveFailed", "classify_pair",
@@ -667,16 +669,13 @@ def _polish(pair, cls, g, tol):
     # fast path: the constructive reducers usually land on the
     # representative to machine precision already.  r0 is
     # pair_distance(act_pair(g, pair), rep0) without building the validated
-    # pair: 0.5 (Bf + Bf^T) rounds as Sym2x2.symmetrize does, and where
-    # act_pair would reject a non-finite entry, np.maximum keeps the nan or
-    # inf that fails the gate
-    Bf = g.P.T @ pair.B.m @ g.P
-    Bf = 0.5 * (Bf + Bf.T)
+    # pair; where act_pair would reject a non-finite entry, the raw entries
+    # keep the nan or inf that fails the gate
+    Af, Bf = raw_act_pair(g.c, g.P, pair)
     try:
         cls0 = read_back(cls, Bf, tol)
         rep0 = representative(cls0)
-        Af = g.c * (g.P.conj().T @ pair.A.m @ g.P)
-        r0 = float(np.maximum(max_norm(Af - rep0.A.m), max_norm(Bf - rep0.B.m)))
+        r0 = raw_pair_distance(Af, Bf, rep0)
         if r0 <= 1e-10:
             return cls0, g, r0
     except ValueError:
@@ -687,9 +686,9 @@ def _polish(pair, cls, g, tol):
     c, P = _unpack(sol.x)
     res = np.inf
     if abs(np.linalg.det(P)) > 1e-12:
-        Bf = P.T @ pair.B.m @ P
+        _, Bf = raw_act_pair(c, P, pair)
         try:
-            cls2 = read_back(cls, 0.5 * (Bf + Bf.T), tol)
+            cls2 = read_back(cls, Bf, tol)
         except ValueError:
             cls2 = None
         if cls2 is not None:

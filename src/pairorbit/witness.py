@@ -41,6 +41,8 @@ from .matcore import (
     compose,
     group_inverse,
     max_norm,
+    raw_act_pair,
+    raw_pair_distance,
 )
 # no longer called here, but the benchmark's tracer (bench/tracing.py)
 # wraps witness.least_squares; the binding goes when that tracer stops
@@ -91,20 +93,14 @@ class ConvergenceReport:
 
 
 def _sweep_residual(curve, s, rep_dst: MatrixPair, rep_src: MatrixPair) -> float:
-    """pair_distance(act_pair(curve(s), rep_dst), rep_src), bitwise, on raw
-    arrays: the same products and re-symmetrization as act_star, act_tcong
-    and Sym2x2.symmetrize, and the same ValueError on non-finite entries."""
+    """pair_distance(act_pair(curve(s), rep_dst), rep_src), bitwise, without
+    building the validated pair, and the same ValueError on non-finite
+    entries."""
     g = curve(s)
-    P = g.P
-    A = g.c * (P.conj().T @ rep_dst.A.m @ P)
-    M = P.T @ rep_dst.B.m @ P
-    off = 0.5 * (M[0, 1] + M[1, 0])
-    B = np.array([[M[0, 0], off], [off, M[1, 1]]])
-    dA = float(np.abs(A - rep_src.A.m).max())
-    dB = float(np.abs(B - rep_src.B.m).max())
-    if not math.isfinite(dA + dB):
+    d = raw_pair_distance(*raw_act_pair(g.c, g.P, rep_dst), rep_src)
+    if not math.isfinite(d):
         raise ValueError("matrix entries must be finite")
-    return max(dA, dB)
+    return d
 
 
 def verify_witness(w: WitnessFamily, s_values=None, tol: float = 1e-6,
@@ -124,13 +120,18 @@ def verify_witness(w: WitnessFamily, s_values=None, tol: float = 1e-6,
     rep_src = representative(w.src)
     rep_dst = representative(w.dst)
     res = [_sweep_residual(w.curve, s, rep_dst, rep_src) for s in s_values]
-    monotone = all(r2 < r1 for r1, r2 in zip(res, res[1:]))
-    final = res[-1]
-    passed = monotone and final <= tol
+    monotone, passed = _verdict(res, tol)
     if strict and not monotone:
         raise DivergenceDetected(
             f"{w.name}: residuals not decreasing: {res}")
-    return ConvergenceReport(w, s_values, tuple(res), monotone, final, passed)
+    return ConvergenceReport(w, s_values, tuple(res), monotone, res[-1], passed)
+
+
+def _verdict(res, tol):
+    """(monotone, passed) of a sweep's residuals: strictly decreasing, and
+    also ending within tol."""
+    monotone = all(r2 < r1 for r1, r2 in zip(res, res[1:]))
+    return monotone, monotone and res[-1] <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +648,7 @@ def _catalog_solved(covered):
 _CATALOG = None
 
 _SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
+_KS = (1.0, 2.0, 1.5, 3.0, 1.25)   # the exponents _autotune tries, in order
 
 
 def _reparam(entry: WitnessFamily, k: float) -> WitnessFamily:
@@ -663,19 +665,20 @@ def _autotune(entry: WitnessFamily) -> WitnessFamily | None:
     curve stays well conditioned; the reparametrization keeps the curve
     closed form and does not change the realized edge."""
     rep_src, rep_dst = representative(entry.src), representative(entry.dst)
-    for k in (1.0, 2.0, 1.5, 3.0, 1.25):
+    for k in _KS:
         cand = entry if k == 1.0 else _reparam(entry, k)
-        # verify_witness's pass rule at tol 1e-7, with the last point first:
-        # a k whose final residual is above tol fails whatever the others are
+        # verify_witness's verdict at tol 1e-7.  A sweep passes only if its
+        # last point passes alone, so that point goes first, and a k it
+        # rejects costs one evaluation
         try:
             final = _sweep_residual(cand.curve, _SWEEP[-1], rep_dst, rep_src)
-            if not final <= 1e-7:
+            if not _verdict((final,), 1e-7)[1]:
                 continue
             res = [_sweep_residual(cand.curve, s, rep_dst, rep_src)
-                   for s in _SWEEP[:-1]] + [final]
+                   for s in _SWEEP[:-1]]
         except PairOrbitError:
             continue
-        if all(r2 < r1 for r1, r2 in zip(res, res[1:])):
+        if _verdict(res + [final], 1e-7)[1]:
             return cand
     return None
 

@@ -19,6 +19,8 @@ from pairorbit.matcore import (
     pair_distance,
     pair_from_json,
     pair_to_json,
+    raw_act_pair,
+    raw_pair_distance,
     sample_group,
     sample_pair,
 )
@@ -30,6 +32,26 @@ def test_identity_action():
     p = sample_pair(7)
     q = act_pair(identity_element(), p)
     assert pair_distance(p, q) == 0.0
+
+
+def test_raw_action_matches_act_pair_bitwise():
+    for seed in range(200):
+        g, p, q = sample_group(seed), sample_pair(seed), sample_pair(seed + 1)
+        want = act_pair(g, p)
+        A, B = raw_act_pair(g.c, g.P, p)
+        assert A.tobytes() == want.A.m.tobytes()
+        assert B.tobytes() == want.B.m.tobytes()
+        assert raw_pair_distance(A, B, q) == pair_distance(want, q)
+    # unvalidated: a non-finite entry reaches the distance in either slot
+    with np.errstate(over="ignore", invalid="ignore"):
+        A, B = raw_act_pair(1.0, np.diag([1e200, 1.0]), p)
+        with pytest.raises(ValueError, match="finite"):
+            act_pair(GroupElement(1.0, np.diag([1e200, 1.0])), p)
+    assert not np.isfinite(raw_pair_distance(A, B, q))
+    for nan_a in (True, False):
+        A, B = raw_act_pair(1.0, I2, p)
+        (A if nan_a else B)[1, 1] = np.nan
+        assert np.isnan(raw_pair_distance(A, B, q))
 
 
 def test_diagonal_conjugation_closed_form():

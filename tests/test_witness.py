@@ -22,7 +22,13 @@ from pairorbit.witness import (
     verify_witness,
     witness_catalog,
 )
-from pairorbit.matcore import GroupElement, act_pair, max_norm, pair_distance
+from pairorbit.matcore import (
+    GroupElement,
+    PairOrbitError,
+    act_pair,
+    max_norm,
+    pair_distance,
+)
 
 
 def test_catalog_size_and_metadata():
@@ -100,6 +106,25 @@ def test_cold_catalog_evaluation_counts(monkeypatch):
     assert calls.count(wt._SWEEP[-1]) == 142 + 83
     ks = Counter("s -> s^2.0]" in w.citation for w in cat)
     assert ks == {True: 78, False: 64}
+
+
+def test_autotune_picks_the_first_k_verify_witness_passes():
+    # the autotune's order of evaluation changes no choice: on every entry
+    # before tuning, closed-form and solved, it returns the first k whose
+    # full sweep verify_witness passes at 1e-7, or None when none does
+    def first_passing(e):
+        for k in wt._KS:
+            cand = e if k == 1.0 else wt._reparam(e, k)
+            try:
+                if verify_witness(cand, wt._SWEEP, tol=1e-7, strict=False).passed:
+                    return cand.citation
+            except PairOrbitError:
+                continue
+        return None
+    entries = wt._catalog_closed_form() + wt._catalog_solved(set())
+    got = [getattr(wt._autotune(e), "citation", None) for e in entries]
+    assert got == [first_passing(e) for e in entries]
+    assert got.count(None) < len(got)
 
 
 def test_catalog_same_in_every_process():
