@@ -11,7 +11,7 @@ import importlib as _importlib
 
 _EXPORTS = {
     "bounds": ("NonPathCertificate", "det_invariant_p", "nonpath_lower_bound",
-               "phase_estimate", "residual_expressions"),
+               "phase_estimate"),
     "closure": ("EdgeCondition", "export_graph", "max_f", "pair_path",
                 "pair_path_detail", "psi1_path", "psi2_path",
                 "validate_graph"),

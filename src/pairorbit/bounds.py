@@ -1,7 +1,6 @@
 """Quantitative certificates: the determinant invariant p, lower bounds on
-perturbations that could move one pair into another orbit, the unit-scalar
-phase/determinant estimates, and the residual expression tables used by the
-perturbation analysis.
+perturbations that could move one pair into another orbit, and the
+unit-scalar phase/determinant estimates.
 
 All bounds are stated for the entrywise max norm.  Distances to the
 singular set are certified through the determinant perturbation bound
@@ -31,17 +30,12 @@ from .matcore import (
 )
 
 __all__ = [
-    "NonPathCertificate", "PreconditionViolated", "BadParams",
+    "NonPathCertificate", "PreconditionViolated",
     "det_invariant_p", "nonpath_lower_bound", "phase_estimate",
-    "residual_expressions", "RESIDUAL_ROWS",
 ]
 
 
 class PreconditionViolated(InputError):
-    pass
-
-
-class BadParams(InputError):
     pass
 
 
@@ -177,171 +171,3 @@ def phase_estimate(src_A: Complex2x2, dst_A: Complex2x2, E_norm: float):
     g_bound = E_norm * (8.0 * max_norm(As) + 4.0) / abs(dAs)
     r_bound = E_norm * (4.0 * max_norm(As) + 2.0) / np.sqrt(abs(dAs * dAd))
     return delta, g_bound, r_bound
-
-
-# ---------------------------------------------------------------------------
-# residual expression rows (the fourth-column expressions, by line)
-# ---------------------------------------------------------------------------
-
-def _xyuv(P):
-    P = np.asarray(P, dtype=complex)
-    return P[0, 0], P[0, 1], P[1, 0], P[1, 1]
-
-
-def _row_c1(c, P, params):
-    theta = params["theta"]
-    if not (0.0 < theta < np.pi):
-        raise BadParams("C1 needs 0 < theta < pi")
-    x, y, u, v = _xyuv(P)
-    return [u ** 2, y ** 2, abs(x) ** 2 - 1.0, abs(v) ** 2 - 1.0]
-
-
-def _row_c3(c, P, params):
-    alpha, theta = params["alpha"], params["theta"]
-    if alpha not in (0, 1) or not (0.0 <= theta < np.pi):
-        raise BadParams("C3 needs alpha in {0,1}, 0 <= theta < pi")
-    x, y, u, v = _xyuv(P)
-    return [abs(x) ** 2 + np.exp(1j * theta) * abs(u) ** 2 - alpha / c,
-            y ** 2, v ** 2]
-
-
-def _row_c4(c, P, params):
-    alpha, tau = params["alpha"], params["tau"]
-    if alpha not in (0, 1) or not (0.0 <= tau < 1.0):
-        raise BadParams("C4 needs alpha in {0,1}, 0 <= tau < 1")
-    x, y, u, v = _xyuv(P)
-    xbu = np.conj(x) * u
-    return [np.conj(y) * v, np.conj(x) * v, np.conj(u) * y,
-            (1 + tau) * xbu.real + 1j * (1 - tau) * xbu.imag - alpha / c]
-
-
-def _row_c5(c, P, params):
-    alpha, beta, omega = params["alpha"], params["beta"], params["omega"]
-    ok = (beta == 1 and alpha == 0 and omega in (0, 1j)) or \
-        (beta == 0 and alpha in (0, 1) and omega == -alpha)
-    if not ok:
-        raise BadParams("C5 constraint on (alpha, beta, omega) violated")
-    x, y, u, v = _xyuv(P)
-
-    def exprs(k):
-        s = (-1.0) ** k
-        return [2 * (np.conj(x) * u).real - s * alpha,
-                2 * (np.conj(y) * v).real - s * np.real(omega),
-                np.conj(x) * v + np.conj(u) * y - s * beta,
-                u ** 2,
-                abs(v) ** 2 - s * np.imag(omega)]
-    return _best_k(exprs)
-
-
-def _row_c6(c, P, params):
-    tau = params["tau"]
-    if not (0.0 <= tau < 1.0):
-        raise BadParams("C6 needs 0 <= tau < 1")
-    x, y, u, v = _xyuv(P)
-    return [np.conj(x) * u, np.conj(y) * v, np.conj(y) * u,
-            np.conj(v) * x - 1.0 / c]
-
-
-def _row_c7(c, P, params):
-    alpha, beta, omega = params["alpha"], params["beta"], params["omega"]
-    ok = (alpha == 0 and omega == 0 and beta == 1) or \
-        (beta == 0 and alpha in (0, 1) and omega in (0, alpha, -alpha))
-    if not ok:
-        raise BadParams("C7 constraint on (alpha, beta, omega) violated")
-    x, y, u, v = _xyuv(P)
-
-    def exprs(k):
-        s = (-1.0) ** k
-        return [2 * (np.conj(y) * v).real - s * omega,
-                2 * (np.conj(x) * u).real - s * alpha,
-                (np.conj(x) * v + np.conj(u) * y) - s * beta]
-    return _best_k(exprs)
-
-
-def _row_c9(c, P, params):
-    alpha, omega, sigma = params["alpha"], params["omega"], params["sigma"]
-    if sigma not in (1, -1):
-        raise BadParams("C9 needs sigma in {1,-1}")
-    ok = (alpha == 1 and omega in (sigma, 0)) or (alpha == 0 and omega == 0)
-    if not ok:
-        raise BadParams("C9 constraint on (alpha, omega) violated")
-    x, y, u, v = _xyuv(P)
-    return [(abs(x) ** 2 + sigma * abs(u) ** 2) - alpha / c,
-            np.conj(x) * y + sigma * np.conj(u) * v,
-            (abs(y) ** 2 + sigma * abs(v) ** 2) - omega / c]
-
-
-def _row_c10(c, P, params):
-    alpha = params["alpha"]
-    if alpha not in (0, 1):
-        raise BadParams("C10 needs alpha in {0,1}")
-    x, y, u, v = _xyuv(P)
-    return [np.conj(x) * v + np.conj(u) * y,
-            np.conj(u) * v,
-            (np.conj(y) * u).real,
-            v ** 2,
-            2 * (np.conj(x) * u).real + 1j * abs(u) ** 2 - alpha / c]
-
-
-def _row_c11(c, P, params):
-    alpha = params["alpha"]
-    if alpha not in (0, 1):
-        raise BadParams("C11 needs alpha in {0,1}")
-    x, y, u, v = _xyuv(P)
-    return [y ** 2, abs(x) ** 2 - alpha]
-
-
-def _row_c12(c, P, params):
-    x, y, u, v = _xyuv(P)
-
-    def exprs(k):
-        s = (-1.0) ** k
-        return [np.conj(x) * y - np.conj(u) * v - s,
-                abs(x) ** 2 - abs(u) ** 2,
-                abs(y) ** 2 - abs(v) ** 2]
-    return _best_k(exprs)
-
-
-def _best_k(exprs):
-    """Rows containing (-1)^k pick the integer branch minimizing the
-    largest modulus."""
-    e0, e1 = exprs(0), exprs(1)
-    m0 = max(abs(z) for z in e0)
-    m1 = max(abs(z) for z in e1)
-    return e0 if m0 <= m1 else e1
-
-
-RESIDUAL_ROWS = {
-    "C1": (_row_c1, ("theta",)),
-    "C3": (_row_c3, ("alpha", "theta")),
-    "C4": (_row_c4, ("alpha", "tau")),
-    "C5": (_row_c5, ("alpha", "beta", "omega")),
-    "C6": (_row_c6, ("tau",)),
-    "C7": (_row_c7, ("alpha", "beta", "omega")),
-    "C9": (_row_c9, ("alpha", "omega", "sigma")),
-    "C10": (_row_c10, ("alpha",)),
-    "C11": (_row_c11, ("alpha",)),
-    "C12": (_row_c12, ()),
-}
-
-
-def residual_expressions(row: str, c: complex, P, params: dict | None = None):
-    """Moduli of the given row's expressions at (c, P = [[x,y],[u,v]]).
-
-    Rows are named C1, C3, C4, C5, C6, C7, C9, C10, C11, C12.  Each remains
-    bounded by a multiple of ||E|| along any realization c P* A P = A~ + E
-    of its (A~, A) line.  BadParams is raised when the row's parameter
-    constraints are violated.
-    """
-    if row not in RESIDUAL_ROWS:
-        raise BadParams(f"unknown row {row}; valid: {sorted(RESIDUAL_ROWS)}")
-    fn, names = RESIDUAL_ROWS[row]
-    params = dict(params or {})
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise BadParams(f"row {row} needs parameters {missing}")
-    c = complex(c)
-    if abs(abs(c) - 1.0) > 1e-9:
-        raise BadParams("|c| must be 1")
-    vals = fn(c, P, params)
-    return [float(abs(z)) for z in vals]

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 stdout carries the machine-readable payload, stderr the diagnostics.
-Exit codes: 0 success; 2 input error (malformed JSON, an out-of-range
-option, or an InputError: BadParams, PreconditionViolated,
+Exit codes: 0 success; 2 input error (malformed JSON, a matrix that is not
+2x2, an out-of-range option, or an InputError: PreconditionViolated,
 NotStandardPosition), with "error:" on stderr; 3 any other PairOrbitError
 (ambiguous, unsolved or rank-unstable outcomes), with "undecided:" on
 stderr.

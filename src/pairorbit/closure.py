@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import det_invariant_p
 from .congruence import STAR_DIMS, StarClass, StarTag
 from .families import FAMILIES, OrbitClass, representative, sample_params, star_of
 from .matcore import max_norm
@@ -28,10 +29,13 @@ __all__ = [
     "pair_edges", "necessary_conditions_ok",
 ]
 
+# relative tolerances of the vanishing determinant invariant p and of a
+# vanishing B determinant
 _PTOL = 1e-12
+_RTOL = 1e-9
 
 
-def b_rank(cls: OrbitClass, rtol: float = 1e-9) -> int:
+def b_rank(cls: OrbitClass) -> int:
     """B rank of the family member, decided from the parameters (which keep
     full precision even when the assembled matrix is badly scaled)."""
     r = FAMILIES[cls.key()].b_rank
@@ -40,7 +44,7 @@ def b_rank(cls: OrbitClass, rtol: float = 1e-9) -> int:
     p = {k: complex(v) for k, v in cls.params.items()}
     f = cls.b_form
     if f == "d0_plus_d":
-        return 2 if abs(p["d0"]) > rtol * abs(p["d"]) else 1
+        return 2 if abs(p["d0"]) > _RTOL * abs(p["d"]) else 1
     if f == "zeta_b_1":
         det = p["zeta"] - p["b"] ** 2
         scale = max(1.0, abs(p["zeta"]), abs(p["b"]) ** 2)
@@ -59,7 +63,7 @@ def b_rank(cls: OrbitClass, rtol: float = 1e-9) -> int:
     else:  # pragma: no cover
         s = np.linalg.svd(representative(cls).B.m, compute_uv=False)
         return int(np.sum(s > 1e-12 * max(1.0, s[0])))
-    return 2 if abs(det) > rtol * scale else 1
+    return 2 if abs(det) > _RTOL * scale else 1
 
 
 # ---------------------------------------------------------------------------
@@ -319,35 +323,13 @@ def max_f(a: float, b: float, d: complex, theta: float,
 
 
 def _m_bound_for(dst: OrbitClass) -> float:
-    """M for targets with A = 1 (+) e^{i theta} (theta = 0 meaning I_2)."""
-    p = dst.params
-    f = dst.b_form
-    if dst.a_family == StarTag.DEFINITE:
-        theta = 0.0
-        if f == "zero":
-            return 0.0
-        if f == "d0_plus_d":
-            return max_f(abs(p["d0"]), 0.0, p["d"], theta)
-        return max_f(float(np.real(p["a"])), 0.0, p["d"], theta)
-    theta = float(np.real(p["theta"]))
-    if f == "zero":
-        return 0.0
-    if f == "a_plus_0":
-        return max_f(float(np.real(p["a"])), 0.0, 0.0, theta)
-    if f == "zero_plus_d":
-        return max_f(0.0, 0.0, p["d"], theta)
-    if f == "antidiag_b":
-        return max_f(0.0, float(np.real(p["b"])), 0.0, theta)
-    if f == "a_b_0":
-        return max_f(float(np.real(p["a"])), float(np.real(p["b"])), 0.0, theta)
-    if f == "zero_b_d":
-        return max_f(0.0, float(np.real(p["b"])), p["d"], theta)
-    if f == "generic":
-        # complex off-diagonal r e^{i phi} folds into a rotated d
-        phi = float(np.real(p["phi"]))
-        d_eff = complex(p["d"]) * np.exp(-2j * phi)
-        return max_f(float(np.real(p["a"])), float(np.real(p["r"])), d_eff, theta)
-    raise ValueError(f)
+    """M for targets with A = 1 (+) e^{i theta} (theta = 0 meaning I_2).  The
+    stabilizer's diagonal phases make B11 and B12 real and nonnegative and
+    turn B22 by e^{i (arg B11 - 2 arg B12)}."""
+    (b11, b12), (_, b22) = representative(dst).B.m
+    turn = np.exp(1j * (np.angle(b11) - 2.0 * np.angle(b12)))
+    theta = float(np.real(dst.params.get("theta", 0.0)))
+    return max_f(abs(b11), abs(b12), b22 * turn, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -526,23 +508,16 @@ def pair_edges():
     return dict(_PAIR_EDGES)
 
 
-def det_p_of_classes(src: OrbitClass, dst: OrbitClass) -> float:
-    ps, pd = representative(src), representative(dst)
-    return abs(np.linalg.det(ps.A.m) * np.linalg.det(pd.B.m)) - \
-        abs(np.linalg.det(ps.B.m) * np.linalg.det(pd.A.m))
-
-
-def necessary_conditions_ok(src: OrbitClass, dst: OrbitClass,
-                            ptol: float = _PTOL):
+def necessary_conditions_ok(src: OrbitClass, dst: OrbitClass):
     """Necessary conditions for a closure path; returns (ok, reason)."""
     if not psi1_path(star_of(src), star_of(dst)):
         return False, "no Psi1 path between the A parts"
     if not psi2_path(b_rank(src), b_rank(dst)):
         return False, "B rank decreases"
-    p = det_p_of_classes(src, dst)
-    scale = max(1.0, max_norm(representative(src).B.m) ** 2,
-                max_norm(representative(dst).B.m) ** 2)
-    if abs(p) > ptol * scale:
+    ps, pd = representative(src), representative(dst)
+    p = det_invariant_p(ps, pd)
+    scale = max(1.0, max_norm(ps.B.m) ** 2, max_norm(pd.B.m) ** 2)
+    if abs(p) > _PTOL * scale:
         return False, f"determinant invariant p = {p:.3e} != 0"
     if dst.dim <= src.dim:
         return False, "orbit dimension does not increase"
@@ -621,14 +596,7 @@ def _sample_edge_instances(src_key, dst_key, cond, n, seed=0):
             if t == "a~ <= d":
                 sp["a"] = float(np.real(dp["d"])) * float(rng.uniform(0.2, 1.0))
             if t == "a~ <= M(B, theta)":
-                try:
-                    dst_try = OrbitClass(dst.a_family, dst.b_form, dp)
-                except ValueError:
-                    continue
-                M = _m_bound_for(dst_try)
-                if M <= 0:
-                    continue
-                sp["a"] = M * float(rng.uniform(0.1, 0.999))
+                sp["a"] = _m_bound_for(dst) * float(rng.uniform(0.1, 0.999))
         try:
             out.append((OrbitClass(src.a_family, src.b_form, sp),
                         OrbitClass(dst.a_family, dst.b_form, dp)))

@@ -366,7 +366,10 @@ def mat_to_json(M):
 
 
 def mat_from_json(v) -> np.ndarray:
-    return np.array([[complex_from_json(v[i][j]) for j in range(2)] for i in range(2)])
+    """The whole nested list as an array: Complex2x2 and Sym2x2 reject a
+    matrix that is not 2x2, rather than it being truncated or indexed out
+    of range here."""
+    return np.array([[complex_from_json(x) for x in row] for row in v])
 
 
 def pair_to_json(p: MatrixPair):

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pairnf
+from .bounds import det_invariant_p
 from .closure import (
     _sample_edge_instances,
     b_rank,
-    det_p_of_classes,
     pair_edges,
     psi1_path,
 )
@@ -76,7 +76,6 @@ class WitnessFamily:
     dst: OrbitClass
     curve: object            # callable s -> GroupElement
     citation: str
-    s0: float = 0.5
 
     def __str__(self):
         return f"{self.name}: {self.src} -> {self.dst}"
@@ -656,8 +655,7 @@ def _reparam(entry: WitnessFamily, k: float) -> WitnessFamily:
     return WitnessFamily(entry.name, entry.src, entry.dst,
                          (lambda s, raw=raw, k=k: raw(s ** k)),
                          entry.citation + f" [curve parameter normalized as "
-                         f"s -> s^{k}]" if k != 1 else entry.citation,
-                         entry.s0)
+                         f"s -> s^{k}]" if k != 1 else entry.citation)
 
 
 def _autotune(entry: WitnessFamily) -> WitnessFamily | None:
@@ -813,8 +811,8 @@ def reachable_with_slack(src: OrbitClass, reached: OrbitClass,
         return False
     if not _psi1_slack_ok(src, reached, kappa):
         return False
-    p = det_p_of_classes(src, reached)
     ps, pd = representative(src), representative(reached)
+    p = det_invariant_p(ps, pd)
     scale = max(1.0, max_norm(ps.A.m), max_norm(ps.B.m),
                 max_norm(pd.A.m), max_norm(pd.B.m)) ** 4
     if abs(p) > 200.0 * eps * scale:

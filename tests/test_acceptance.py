@@ -79,9 +79,9 @@ def test_criterion_3_closure_graph_validator():
 
 
 def test_criterion_4_max_f_anchors_and_grid():
-    """Anchors within 1e-6; 400x400 grid-oracle agreement within 1e-4 on
-    100 random draws."""
-    from test_closure import brute_force_grid
+    """Anchors within 1e-6; agreement with the profile oracle within 1e-4
+    on 100 random draws."""
+    from test_closure import _profile_max_f
     anchors_ok = (abs(max_f(0, 0, 2.0, np.pi / 2) - 2.0) < 1e-6
                   and abs(max_f(3.0, 0, 0, np.pi / 3) - 3.0) < 1e-6
                   and abs(max_f(1.0, 0, 2.0, 0.0) - 2.0) < 1e-6)
@@ -92,10 +92,10 @@ def test_criterion_4_max_f_anchors_and_grid():
         d = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         theta = rng.uniform(0.0, 3.05)
         worst = max(worst, abs(max_f(a, b, d, theta)
-                               - brute_force_grid(a, b, d, theta)))
-    _report("criterion 4 (max_f anchors + grid oracle)",
+                               - _profile_max_f(a, b, d, theta)))
+    _report("criterion 4 (max_f anchors + profile oracle)",
             anchors_ok and worst < 1e-4,
-            f"anchors_ok={anchors_ok} worst_grid_diff={worst:.2e}")
+            f"anchors_ok={anchors_ok} worst_oracle_diff={worst:.2e}")
 
 
 def test_criterion_5_witness_convergence():

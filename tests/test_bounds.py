@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from pairorbit.bounds import (
-    BadParams,
     PreconditionViolated,
+    _singularity_radius,
     det_invariant_p,
     nonpath_lower_bound,
     phase_estimate,
-    residual_expressions,
 )
 from pairorbit.congruence import StarTag as T
 from pairorbit.families import family_of, representative
@@ -21,6 +20,7 @@ from pairorbit.matcore import (
     sample_group,
     sample_pair,
 )
+from pairorbit.pairnf import classify_pair
 
 I2 = np.eye(2)
 
@@ -70,6 +70,42 @@ def test_certificate_norm_rule():
                             MatrixPair.of(np.zeros((2, 2)), np.zeros((2, 2))),
                             normalize=False)
     assert c.rule == "NormRule" and abs(c.bound_E - 2.0) < 1e-12
+    # a nonzero singular B against a zero B: the norm rule on the B side
+    c = nonpath_lower_bound(MatrixPair.of(I2, [[1.0, 2.0], [2.0, 4.0]]),
+                            MatrixPair.of(I2, np.zeros((2, 2))),
+                            normalize=False)
+    assert c.rule == "NormRule" and c.bound_E is None and c.bound_F == 4.0
+
+
+def test_certificate_of_non_normal_source_is_scaled():
+    # src is an orbit point, not the normal form: the certificate is the
+    # normal form's, shrunk by 4 ||Q*|| ||Q|| of the reducing element
+    rep = representative(family_of(T.DEFINITE, "a_lt_d", a=0.5, d=2.0))
+    src = act_pair(sample_group(3), rep)
+    dst = representative(family_of(T.DEFINITE, "d0_plus_d", d0=0.0, d=1.0))
+    want = nonpath_lower_bound(rep, dst, normalize=False)
+    got = nonpath_lower_bound(src, dst)
+    Q = classify_pair(src, 1e-9).reducer.P
+    scaled = want.bound / (4.0 * max_norm(Q.conj().T) * max_norm(Q))
+    assert got.rule == want.rule == "TcongRule"
+    assert got.bound < want.bound
+    assert abs(got.bound - scaled) <= 1e-12 * scaled
+
+
+def test_singularity_radius_is_a_lower_bound():
+    # on the line X + sF with ||F|| = 1, the singular points are the roots
+    # of det(X + sF), a quadratic in s; none lies inside the radius
+    rng = np.random.default_rng(0)
+    worst = np.inf
+    for _ in range(2000):
+        X = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        X = (X + X.T) * 10.0 ** rng.uniform(-3, 3)
+        F = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        F = (F + F.T) / max_norm(F + F.T)
+        c1 = X[0, 0] * F[1, 1] + X[1, 1] * F[0, 0] - 2.0 * X[0, 1] * F[0, 1]
+        s = np.roots([np.linalg.det(F), c1, np.linalg.det(X)])
+        worst = min(worst, np.min(np.abs(s)) / _singularity_radius(X))
+    assert worst >= 1.0, worst
 
 
 def test_certificate_none_when_no_rule():
@@ -145,57 +181,3 @@ def test_phase_estimate_monte_carlo():
         ratio = np.sqrt(abs(np.linalg.det(src.m) / np.linalg.det(dst.m)))
         assert abs(abs(np.linalg.det(g_el.P)) - ratio) <= rb
     assert checked > 1000
-
-
-def test_residual_rows_identity_values():
-    vals = residual_expressions("C6", 1.0, np.eye(2), {"tau": 0.3})
-    assert vals == [0.0, 0.0, 0.0, 0.0]
-    vals = residual_expressions("C3", 1.0, np.eye(2),
-                                {"alpha": 1, "theta": 0.0})
-    assert vals == [0.0, 0.0, 1.0]
-
-
-def test_residual_rows_bad_params():
-    with pytest.raises(BadParams):
-        residual_expressions("C6", 1.0, np.eye(2), {"tau": 1.5})
-    with pytest.raises(BadParams):
-        residual_expressions("C3", 1.0, np.eye(2), {"alpha": 2, "theta": 0.0})
-    with pytest.raises(BadParams):
-        residual_expressions("C7", 1.0, np.eye(2),
-                             {"alpha": 1, "beta": 1, "omega": 0})
-    with pytest.raises(BadParams):
-        residual_expressions("C99", 1.0, np.eye(2), {})
-
-
-def test_residual_rows_bounded_along_witness():
-    """Forward check: along a realization c P* A P = A~ + E of a row's
-    (A~, A) line, the row expressions stay within a fitted multiple of
-    ||E||."""
-    from pairorbit.congruence import star_representative
-    from pairorbit.congruence import StarClass
-
-    # C4 line: A~ = 1 (+) 0, A = [[0,1],[tau,0]]
-    tau = 0.35
-    A = star_representative(StarClass(T.RECIPROCAL, tau=tau)).m
-    Atil = np.diag([1.0 + 0j, 0.0])
-    ratios = []
-    for s in (1e-1, 1e-2, 1e-3, 1e-4):
-        g0 = 1.0 / np.sqrt(1.0 + tau)
-        P = g0 * np.array([[1.0, 0.0], [1.0, s]], dtype=complex)
-        c = 1.0
-        E = c * (P.conj().T @ A @ P) - Atil
-        vals = residual_expressions("C4", c, P, {"alpha": 1, "tau": tau})
-        ratios.append(max(vals) / max_norm(E))
-    assert max(ratios) < 50.0
-
-
-def test_residual_rows_c12_and_c9_k_branch():
-    # expressions involving (-1)^k pick the better integer branch; the C12
-    # line 1 (+) -1 -> [[0,1],[1,0]] is realized exactly by the Hadamard-like
-    # congruence
-    Q = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
-    vals = residual_expressions("C12", 1.0, Q)
-    assert max(vals) <= 1e-12
-    vals = residual_expressions("C9", 1.0, np.eye(2),
-                                {"alpha": 1, "omega": 1, "sigma": 1})
-    assert max(vals) <= 1e-12

@@ -318,3 +318,31 @@ def test_class_range_errors_exit_2(capsys, cls, msg):
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert out.err == f"error: bad orbit-class JSON: {msg}\n"
+
+
+ZERO_MAT = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+BAD_SHAPE_A = {"1x2": [[[1, 0], [0, 0]]],
+               "2x3": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]}
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_SHAPE_A))
+@pytest.mark.parametrize("cmd", ["classify", "dim", "bounds", "phase", "jet"])
+def test_matrix_of_wrong_shape_exit_2(capsys, cmd, shape):
+    # every loader reads the whole nested list: a 2x3 A is not truncated to
+    # its 2x2 corner, and a 1x2 A raises no IndexError
+    A = BAD_SHAPE_A[shape]
+    pair = json.dumps({"A": A, "B": ZERO_MAT})
+    argv = {"classify": ["classify", "--pair", pair],
+            "dim": ["dim", "--pair", pair],
+            "bounds": ["bounds", "--src", pair, "--dst", PAIR_I_DIAG12],
+            "phase": ["phase", "--src", json.dumps(A), "--dst", MAT_I,
+                      "--enorm", "0.01"],
+            "jet": ["jet", "--jet", json.dumps({"A": A, "B": ZERO_MAT,
+                                                "C": ZERO_MAT})]}[cmd]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error:") and "2x2" in out.err

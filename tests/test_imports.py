@@ -25,9 +25,8 @@ EXPORTS = [
     "orbit_class_from_json", "orbit_class_to_json", "orbit_dimension",
     "orbit_equal", "pair_distance", "pair_path", "pair_path_detail",
     "perturb_experiment", "phase_estimate", "psi1_path", "psi2_path",
-    "reduce_jet", "representative", "residual_expressions", "sample_group",
-    "sample_pair", "takagi", "tangent_frame", "validate_graph",
-    "verify_witness", "witness_catalog",
+    "reduce_jet", "representative", "sample_group", "sample_pair", "takagi",
+    "tangent_frame", "validate_graph", "verify_witness", "witness_catalog",
 ]
 
 
