@@ -14,6 +14,7 @@ A-representatives: diag(1, -1) for the first four b_forms and
 
 from __future__ import annotations
 
+import cmath
 import zlib
 from dataclasses import dataclass, field
 
@@ -196,6 +197,9 @@ def _fmt(v):
 
 def _check_ranges(cls: OrbitClass):
     p = cls.params
+    for name, v in p.items():
+        if not cmath.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     pi = np.pi
     def pos(name):
         if not (float(np.real(p[name])) > 0 and np.imag(p[name]) == 0):

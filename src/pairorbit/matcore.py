@@ -284,16 +284,10 @@ def least_squares(fun, x0, max_nfev: int) -> LeastSquaresResult:
     """Minimize |r(x)|^2 / 2 by Levenberg-Marquardt with Nielsen's damping.
 
     fun(x) returns (r, J), the residual vector and its Jacobian.  The damped
-    normal equations (J^T J + mu I) h = -J^T r give the step.  When J has
-    fewer rows than columns, J^T J + mu I is singular to rounding for the
-    tiny mu used here, and rounding in J^T r would drive steps of size
-    noise/mu along the null space of J that never stop a converged solve;
-    so the step is taken as h = J^T (J J^T + mu I)^-1 (-r) instead, equal in
-    exact arithmetic by the push-through identity and lying in the row
-    space of J (Nocedal and Wright, Numerical Optimization, 2nd ed., 10.3).
-    An accepted step scales mu by max(1/3, 1 - (2 rho - 1)^3), where rho is
-    the actual over the predicted decrease, and a rejected one by nu, which
-    then doubles.  Stops when the step falls below 1e-16 |x|, when the cost
+    normal equations (J^T J + mu I) h = -J^T r give the step.  An accepted
+    step scales mu by max(1/3, 1 - (2 rho - 1)^3), where rho is the actual
+    over the predicted decrease, and a rejected one by nu, which then
+    doubles.  Stops when the step falls below 1e-16 |x|, when the cost
     reaches 0, or after max_nfev evaluations.  A damped system that is
     singular in floating point counts as a rejected step.  There is
     deliberately no stop on a small relative decrease: slowly converging
@@ -303,7 +297,6 @@ def least_squares(fun, x0, max_nfev: int) -> LeastSquaresResult:
     r, J = fun(x)
     cost = 0.5 * float(r @ r)
     nfev = 1
-    wide = r.size < x.size
     A, g = J.T @ J, J.T @ r
     # start near Gauss-Newton: max diag(J^T J) grows as |P|^2 on the
     # ill-conditioned reducers the pairnf fallback gets, and a damping of
@@ -311,13 +304,10 @@ def least_squares(fun, x0, max_nfev: int) -> LeastSquaresResult:
     # progress; a damping that is too small costs a few rejected steps
     mu = 1e-12 * float(np.max(np.diag(A))) or 1e-12
     nu = 2.0
-    eye = np.eye(r.size if wide else x.size)
+    eye = np.eye(x.size)
     while cost > 0.0 and nfev < max_nfev:
         try:
-            if wide:
-                h = J.T @ np.linalg.solve(J @ J.T + mu * eye, -r)
-            else:
-                h = np.linalg.solve(A + mu * eye, -g)
+            h = np.linalg.solve(A + mu * eye, -g)
         except np.linalg.LinAlgError:
             # mu below the rounding of a rank-deficient system: damp harder
             mu *= nu

@@ -10,7 +10,8 @@ U(2) for the definite one), and the family plus its parameters are decided
 from stabilizer invariants before any numeric solve.  Both stages are
 constructive.  Only when the composed reducer misses the representative by
 more than 1e-10 does a numeric polish run: one structural least-squares
-solve, then one exactness solve against the fully pinned representative.
+solve, whose result goes through the same read-back and distance as the
+constructive reducer.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ from .matcore import (
     MatrixPair,
     PairOrbitError,
     Sym2x2,
-    act_pair,
     compose,
     least_squares,
     max_norm,
-    pair_distance,
     raw_act_pair,
     raw_pair_distance,
 )
@@ -665,60 +664,31 @@ def _structural_residual(pair, cls, A_nf):
     return fun
 
 
-def _polish(pair, cls, g, tol):
-    # fast path: the constructive reducers usually land on the
-    # representative to machine precision already.  r0 is
-    # pair_distance(act_pair(g, pair), rep0) without building the validated
-    # pair; where act_pair would reject a non-finite entry, the raw entries
-    # keep the nan or inf that fails the gate
-    Af, Bf = raw_act_pair(g.c, g.P, pair)
+def _read_off(pair, cls, c, P, tol):
+    """(class read back from the raw act_pair((c, P), pair), its distance to
+    that class's representative), or (None, inf).  Raw entries keep the nan
+    or inf that act_pair would reject, so they fail any gate."""
+    Af, Bf = raw_act_pair(c, P, pair)
     try:
-        cls0 = read_back(cls, Bf, tol)
-        rep0 = representative(cls0)
-        r0 = raw_pair_distance(Af, Bf, rep0)
-        if r0 <= 1e-10:
-            return cls0, g, r0
+        cls2 = read_back(cls, Bf, tol)
+        return cls2, raw_pair_distance(Af, Bf, representative(cls2))
     except ValueError:
-        pass
-    # fallback: one structural solve, then one fully pinned exactness polish
+        return None, np.inf
+
+
+def _polish(pair, cls, g, tol):
+    """(class, reducer, residual): g itself when the constructive reducer
+    lands within 1e-10 of the representative, else the result of one
+    structural least-squares solve if it lands within _RESIDUAL_FAIL."""
+    cls0, r0 = _read_off(pair, cls, g.c, g.P, tol)
+    if r0 <= 1e-10:
+        return cls0, g, r0
     fun = _structural_residual(pair, cls, representative(cls).A.m)
-    sol = least_squares(fun, _pack(g), max_nfev=400)
-    c, P = _unpack(sol.x)
+    c, P = _unpack(least_squares(fun, _pack(g), max_nfev=400).x)
     res = np.inf
     if abs(np.linalg.det(P)) > 1e-12:
-        _, Bf = raw_act_pair(c, P, pair)
-        try:
-            cls2 = read_back(cls, Bf, tol)
-        except ValueError:
-            cls2 = None
-        if cls2 is not None:
-            gg, res = _full_polish(pair, cls2, GroupElement(c / abs(c), P))
-            if res <= _RESIDUAL_FAIL:
-                return cls2, gg, res
+        cls2, res = _read_off(pair, cls, c, P, tol)
+        if res <= _RESIDUAL_FAIL:
+            return cls2, GroupElement(c / abs(c), P), res
     raise StabilizerSolveFailed(
         f"B normalization stalled for family {cls.key()}", res)
-
-
-def _full_residual(pair, cls):
-    """Residual and Jacobian pinning the pair to representative(cls)."""
-    rep = representative(cls)
-    A, Bm = pair.A.m, pair.B.m
-    target = np.concatenate([rep.A.m.view(float).ravel(),
-                             rep.B.m.view(float).ravel()])
-
-    def fun(x):
-        At, Bt, dA, dB = _act_jac(x, A, Bm)
-        r = np.concatenate([At.view(float).ravel(), Bt.view(float).ravel()])
-        return r - target, np.vstack([_real_rows(dA), _real_rows(dB)])
-
-    return fun
-
-
-def _full_polish(pair, cls, g):
-    rep = representative(cls)
-    sol = least_squares(_full_residual(pair, cls), _pack(g), max_nfev=300)
-    c, P = _unpack(sol.x)
-    if abs(np.linalg.det(P)) < 1e-14:
-        return g, pair_distance(act_pair(g, pair), rep)
-    gg = GroupElement(c / abs(c), P)
-    return gg, pair_distance(act_pair(gg, pair), rep)

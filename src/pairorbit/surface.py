@@ -54,9 +54,12 @@ class JetData:
 
     @staticmethod
     def of(w0, lin_z, lin_zbar, A, B, C) -> "JetData":
-        return JetData(complex(w0),
-                       np.asarray(lin_z, dtype=complex).reshape(2),
-                       np.asarray(lin_zbar, dtype=complex).reshape(2),
+        w0 = complex(w0)
+        lin_z = np.asarray(lin_z, dtype=complex).reshape(2)
+        lin_zbar = np.asarray(lin_zbar, dtype=complex).reshape(2)
+        if not np.isfinite([w0, *lin_z, *lin_zbar]).all():
+            raise ValueError("w0, lin_z and lin_zbar must be finite")
+        return JetData(w0, lin_z, lin_zbar,
                        A if isinstance(A, Complex2x2) else Complex2x2(A),
                        B if isinstance(B, Sym2x2) else Sym2x2.symmetrize(B),
                        C if isinstance(C, Sym2x2) else Sym2x2.symmetrize(C))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -241,6 +242,10 @@ def test_negative_seed_exit_2(capsys, argv):
     assert err.startswith("error:") and "--seed" in err
 
 
+DIAG_JET = {"A": [[1, 0], [0, 2]], "B": [[0, 0], [0, 0]],
+            "C": [[0, 0], [0, 0]]}
+
+
 @pytest.mark.parametrize("argv", [
     ("jet", "--jet", json.dumps({
         "A": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
@@ -261,6 +266,12 @@ def test_negative_seed_exit_2(capsys, argv):
     ("phase", "--src", MAT_I, "--dst", MAT_I, "--enorm", "inf"),
     ("phase", "--src", MAT_I, "--dst", MAT_I, "--enorm", "-1"),
     ("phase", "--src", MAT_I, "--dst", MAT_I, "--enorm", "0.2"),
+    # a nan linear term used to leave the complex point unmoved, with exit 0
+    ("jet", "--jet", json.dumps(DIAG_JET | {"lin_zbar": ["nan", 0]})),
+    ("jet", "--jet", json.dumps(DIAG_JET | {"lin_z": [0, "nan"]})),
+    ("jet", "--jet", json.dumps(DIAG_JET | {"w0": "nan"})),
+    ("maxf", "--a", "1", "--b", "0", "--d", "abc", "--theta", "1"),
+    ("--strict", "perturb", "--class", ZERO_CLASS, "--eps", "1e-3"),
 ])
 def test_invalid_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -306,7 +317,11 @@ def test_witness_verify_failing_entry_exit_3(capsys, monkeypatch):
     (("indefinite", "a_lt_d", {"a": 2.0, "d": 1.0}), "a_lt_d requires 0 < a < d"),
     (("rank1_semidef", "a_plus_0", {"a": [0.5, 0.1]}),
      "a must be a positive real, got (0.5+0.1j)"),
-], ids=["theta", "tau", "phi", "r", "d0", "a_lt_d", "positive"])
+    (("reciprocal", "one_plus_zeta", {"tau": 0.5, "zeta": "nan"}),
+     "zeta must be finite, got (nan+0j)"),
+    (("definite", "a_lt_d", {"a": 0.5, "d": math.inf}),
+     "d must be finite, got (inf+0j)"),
+], ids=["theta", "tau", "phi", "r", "d0", "a_lt_d", "positive", "nan", "inf"])
 def test_class_range_errors_exit_2(capsys, cls, msg):
     fam, form, params = cls
     text = json.dumps({"a_family": fam, "b_form": form, "params": params})
@@ -318,6 +333,17 @@ def test_class_range_errors_exit_2(capsys, cls, msg):
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert out.err == f"error: bad orbit-class JSON: {msg}\n"
+
+
+def test_path_rejects_a_non_finite_class_exit_2(capsys):
+    # a nan zeta used to pass the range checks and crash in representative
+    dst = json.dumps({"a_family": "reciprocal", "b_form": "one_plus_zeta",
+                      "params": {"tau": 0.5, "zeta": "nan"}})
+    with pytest.raises(SystemExit) as e:
+        main(["path", "--src", ZERO_CLASS, "--dst", dst])
+    out = capsys.readouterr()
+    assert e.value.code == 2 and out.out == ""
+    assert out.err == "error: bad orbit-class JSON: zeta must be finite, got (nan+0j)\n"
 
 
 ZERO_MAT = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]

@@ -471,6 +471,14 @@ def test_validator_flags_p_violation():
     assert not ok and "p =" in reason
 
 
+def test_validator_flags_a_dimension_that_does_not_increase():
+    # same A, B rank 1 to 1 and p = 0: only the dimension rule rejects
+    src = family_of(T.UNIMODULAR, "zero_plus_d", theta=1.0, d=1.0)
+    dst = family_of(T.UNIMODULAR, "a_plus_0", theta=1.0, a=1.0)
+    assert necessary_conditions_ok(src, dst) == (
+        False, "orbit dimension does not increase")
+
+
 def test_b_rank_table():
     assert b_rank(family_of(T.ZERO, "zero")) == 0
     assert b_rank(family_of(T.RECIPROCAL, "one_plus_zeta", tau=0.5,

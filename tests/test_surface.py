@@ -78,6 +78,26 @@ def test_not_standard_position():
         reduce_jet(j)
 
 
+def test_degenerate_complex_point_rejected():
+    # A = B = 0: s + A z + B conj(z) = 0 has no solution to move to
+    zero = np.zeros((2, 2))
+    j = JetData.of(0, [0, 0], [1e-3, 0], zero, zero, zero)
+    with pytest.raises(NotStandardPosition, match="degenerate"):
+        reduce_jet(j)
+
+
+def test_untranslatable_linear_term_rejected():
+    # cond(A) = 1e14: the real 4x4 system solves, but the translated jet
+    # keeps an antiholomorphic linear term far above tol
+    c, s = np.cos(0.7), np.sin(0.7)
+    Q = np.exp(0.3j) * np.array([[c, -s], [s, c]])
+    A = Q @ np.diag([1.0, 1e-14]) @ Q.conj().T
+    zero = np.zeros((2, 2))
+    j = JetData.of(0, [0, 0], [1e-3, 2e-3j], A, zero, zero)
+    with pytest.raises(NotStandardPosition, match="did not remove"):
+        reduce_jet(j)
+
+
 def test_classification_invariant_under_graph_preserving_changes():
     """Upper-triangular chart changes [[P, r], [0, c]] act on the quadratic
     pair through the matrix-pair action, so the classified family and

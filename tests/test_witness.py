@@ -9,7 +9,8 @@ import pytest
 
 from pairorbit import pairnf as pn
 from pairorbit import witness as wt
-from pairorbit.closure import pair_path
+from pairorbit.bounds import det_invariant_p
+from pairorbit.closure import b_rank, pair_path
 from pairorbit.congruence import AmbiguousNearBoundary
 from pairorbit.congruence import StarTag as T
 from pairorbit.families import family_of, representative
@@ -191,6 +192,38 @@ def test_perturb_negative_control():
     bad2 = family_of(T.RECIPROCAL, "generic", tau=0.4, phi=0.2, b=1.0,
                      zeta=0.1 + 0j)
     assert not reachable_with_slack(src, bad2, 1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND line 38: a witness-curve "
+                   "point of (indefinite|h_zero_b_1) reads as d0_plus_d")
+def test_witness_curve_point_gets_its_family_or_a_typed_error():
+    # act_pair(curve(s), rep(dst)) lies in the dst orbit for every s > 0;
+    # at s = 1e-3 classify_pair returns (indefinite|d0_plus_d, d0 = d = 1)
+    # with a residual of 9.2e-7, inside _RESIDUAL_FAIL
+    w = next(w for w in witness_catalog() if w.name == "indef-I2->H-zero_b_1")
+    p = act_pair(w.curve(1e-3), representative(w.dst))
+    try:
+        got = pn.classify_pair(p).cls
+    except PairOrbitError:
+        return
+    assert got.key() == w.dst.key()
+
+
+def test_slack_rejects_a_b_rank_drop():
+    src = family_of(T.RANK1_SEMIDEF, "antidiag_1")
+    reached = family_of(T.UNIMODULAR, "zero_plus_d", theta=1.0, d=1.0)
+    assert reached.dim >= src.dim and b_rank(reached) < b_rank(src)
+    assert not reachable_with_slack(src, reached, 1e-3)
+
+
+def test_slack_rejects_a_nonzero_determinant_invariant():
+    # same A and a larger B rank, so only the invariant p can reject
+    src = family_of(T.UNIMODULAR, "a_plus_0", theta=1.0, a=1.0)
+    reached = family_of(T.UNIMODULAR, "generic", theta=1.0, a=1.0, r=0.5,
+                        phi=0.3, d=1.0)
+    assert reached.dim > src.dim and b_rank(reached) > b_rank(src)
+    assert abs(det_invariant_p(representative(src), representative(reached))) > 0.2
+    assert not reachable_with_slack(src, reached, 1e-3)
 
 
 def test_perturb_report_json_shape():
