@@ -106,7 +106,7 @@ def cmd_maxf(args):
     except (ValueError, json.JSONDecodeError) as e:
         return _input_error(f"bad d: {e}")
     try:
-        M = max_f(args.a, args.b, d, args.theta, args.tol)
+        M = max_f(args.a, args.b, d, args.theta)
     except ValueError as e:
         return _input_error(str(e))
     print(repr(float(M)))  # shortest string that reads back to M
@@ -185,7 +185,10 @@ def build_parser():
         prog="pairorbit",
         description="normal-form orbits and closure graphs for pairs of "
                     "2x2 complex matrices")
-    ap.add_argument("--tol", type=float, default=1e-9)
+    ap.add_argument("--tol", type=float, default=1e-9,
+                    help="numeric tolerance of classify, dim and jet; "
+                         "maxf always runs to float resolution and "
+                         "ignores it (default 1e-9)")
     ap.add_argument("--seed", type=int, default=None,
                     help="seed for randomized subcommands (default 0)")
     ap.add_argument("--strict", action="store_true",

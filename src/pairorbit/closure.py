@@ -7,7 +7,10 @@ small perturbations of the S form meet T's orbit.  Every positive edge is
 realized by an explicit verified witness curve in the witness module, and
 every declared edge passes the necessary conditions (A-part reachability,
 monotone B rank, vanishing determinant invariant p, strictly increasing
-orbit dimension) checked by the validator below.
+orbit dimension) checked by the validator below.  The max_bound edges
+compare with M(B, theta), the constrained maximum `max_f`, computed as the
+minimum of its convex dual: a golden-section search over one angle whose
+values are closed-form 2x2 singular values, each an upper bound of M.
 """
 
 from __future__ import annotations
@@ -118,165 +121,53 @@ def psi1_path(src: StarClass, dst: StarClass) -> bool:
 # the constrained maximum M of |a r^2 e^{i b} + 2 b r t + d t^2 e^{-i b}|
 # ---------------------------------------------------------------------------
 
-# Newton steps allowed for the farthest-point multiplier in _beta_max (on
-# seeded rows at scales 1e-8 to 1e4 the value of f settles after 6), and the
-# relative step below which the iteration has reached rounding
-_NEWTON_STEPS = 10
-_STEP_TOL = 4.0 * np.finfo(float).eps
-# points per bracket and step when max_f zooms in on a maximum of h, and the
-# number of local maxima of its scan that it zooms
-_ZOOM_POINTS = 33
-_PEAKS = 4
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _beta_max(u, w, v):
-    """Row-wise max over beta of |u e^{i beta} + w + v e^{-i beta}|.
-
-    u, w >= 0 are real arrays and v a complex array, all of one shape.  With
-    s = |v|, e^{2ih} = v / s and gamma = beta - h, the modulus is |E(gamma) - Q|,
-    the distance from Q = -w e^{-ih} to the point E(gamma) = (u + s) cos gamma
-    + i (u - s) sin gamma of an ellipse; e^{ih} = sqrt(v) / sqrt(s) is exact
-    for real v.  The farthest point is cos gamma = -Re Q (u + s) / t,
-    sin gamma = -Im Q (u - s) / (t + e), where e = 4 u s and t > 0 solves
-    S(t) = (A / t)^2 + (B / (t + e))^2 = 1 with A = |Re Q| (u + s) and
-    B = |Im Q| |u - s|.  S falls from infinity to 0 on t > 0, so the root
-    exists when A > 0 or B > e, and it is at least max(A, B - e).  Newton's
-    method on 1 / S - 1 starts there and stops once its step is below
-    rounding, or after _NEWTON_STEPS steps.  When B < e, the limits t -> 0,
-    sin gamma = -Im Q (u - s) / e, are the farthest points for Q on the
-    minor axis (A = 0).  The maximum runs over f evaluated at the root's
-    point, at those two points and at beta = 0, pi, +-pi/2, where f is
-    |w + (u + v)|, |w - (u + v)| and |w +- i (u - v)|, so every value is f at
-    a real beta: an unconverged root costs a quadratic error, never an
-    overestimate.
-    """
-    u, w, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(w, float),
-                                  np.asarray(v, complex))
-    s = np.abs(v)
-    pos = s > 0
-    eih = np.where(pos, np.sqrt(v) / np.sqrt(np.where(pos, s, 1.0)), 1.0)
-    Q = -w * np.conj(eih)
-    p, m, e = u + s, u - s, 4.0 * u * s
-    A, B = np.abs(Q.real) * p, np.abs(Q.imag * m)
-    root, minor = (A > 0) | (B > e), B < e
-    # rows without a root solve the stand-in (1 / t)^2 = 1 and are not used
-    A, B = np.where(root, A, 1.0), np.where(root, B, 0.0)
-    t = np.maximum(A, B - e)
-    for _ in range(_NEWTON_STEPS):
-        # S = a2 + b2 and t S'(t) = -2 (a2 + b2 t / (t + e)), kept as ratios
-        # near 1 so that no power of t under- or overflows
-        te = t + e
-        a2, b2 = (A / t) ** 2, (B / te) ** 2
-        S = a2 + b2
-        step = t * S * (S - 1.0) / (2.0 * (a2 + b2 * (t / te)))
-        t = t + step
-        if np.all(np.abs(step) <= _STEP_TOL * t):
-            break
-    # e^{i beta} of the root's point and of the two t -> 0 points, as a
-    # (3, ...) stack; beta = 0, pi, +-pi/2 are evaluated in closed form
-    sg = np.divide(-Q.imag * m, e, out=np.zeros_like(e), where=minor)
-    cg = np.sqrt(1.0 - sg * sg)
-    z = np.stack([np.where(root, (-Q.real * p / t) - 1j * (Q.imag * m / (t + e)),
-                           1.0),
-                  cg + 1j * sg, -cg + 1j * sg]) * eih
-    r = np.abs(z)
-    z = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
-    uv, iuv = u + v, 1j * (u - v)
-    return np.max([*np.abs(u * z + w + v * np.conj(z)), np.abs(w + uv),
-                   np.abs(w - uv), np.abs(w + iuv), np.abs(w - iuv)], axis=0)
+def _sigma2(u, U, a, b, d):
+    """sigma_max^2 of D_psi^{-1/2} B D_psi^{-1/2} at psi = theta / 2 + u, in
+    the closed form and parametrisation of `max_f`."""
+    c1, c2 = math.sin(U - u), math.sin(U + u)
+    x2, y2, z2 = (a / c1) ** 2, b * b / (c1 * c2), abs(d / c2) ** 2
+    disc = (x2 - z2) ** 2 + 4.0 * y2 * abs(a / c1 + d / c2) ** 2
+    return (x2 + 2.0 * y2 + z2 + math.sqrt(disc)) / 2.0
 
 
-def _arc_h(xi, a, b, d, theta):
-    """h(xi), the beta-maximum of f at the point of the constraint arc with
-    direction angle xi: (R, T) = (r^2, t^2) = rho (cos xi, sin xi) with
-    rho^-2 = 1 + cos(theta) sin(2 xi).  Where that sum would cancel (the
-    second term below -1/2, near xi = pi / 4 for theta near pi, where the
-    arc's peak is narrow), it is evaluated as 2 cos^2(theta / 2)
-    + 2 |cos(theta)| sin^2(xi - pi / 4), a sum of two positive terms."""
-    ct = np.cos(theta)
-    cs = ct * np.sin(2.0 * xi)
-    den = np.where(cs > -0.5, 1.0 + cs,
-                   2.0 * np.cos(theta / 2.0) ** 2
-                   - 2.0 * ct * np.sin(xi - np.pi / 4.0) ** 2)
-    rho = 1.0 / np.sqrt(den)
-    R, T = rho * np.cos(xi), rho * np.sin(xi)
-    return _beta_max(a * R, 2.0 * b * np.sqrt(R * T), d * T)
-
-
-def _vertex(x0, x1, x2, f0, f1, f2):
-    """Abscissa of the vertex of the parabola through (x0, f0), (x1, f1) and
-    (x2, f2), where x0 <= x1 <= x2 and f1 is the largest value; x1 where the
-    parabola is flat.  The vertex lies between the midpoints of the two
-    cells, and it is clamped to [x0, x2] against rounding."""
-    dl, dr, gl, gr = x1 - x0, x2 - x1, f1 - f0, f1 - f2
-    den = dr * gl + dl * gr
-    if not den > 0:
-        return x1
-    return min(max(x1 + (dr * dr * gl - dl * dl * gr) / (2.0 * den), x0), x2)
-
-
-def _window(x, f, inside, tol):
-    """(lo, hi), the part of the bracket [x[1], x[3]] that max_f samples
-    next.  x[2] is the bracket's best point, x[1] and x[3] its nearest
-    points, x[0] and x[4] the next-nearest, f their values; inside says
-    whether the last step's best point fell inside its window."""
-    if not inside:
-        return x[1], x[3]
-    v = _vertex(*x[1:4], *f[1:4])
-    hw = max(abs(_vertex(*x[::2], *f[::2]) - v),
-             (_ZOOM_POINTS - 1) * max(tol / 50.0, math.ulp(x[2])))
-    return max(x[1], v - hw), min(x[3], v + hw)
-
-
-def _around_best(X, F):
-    """The best of the points (X, F) with its two nearest points on each
-    side, as two lists of 5 ordered by x.  A repeated x counts once, with its
-    largest value; where a side runs out, its last point repeats (the best
-    point itself if the side has none)."""
-    xs, fs = [], []
-    for x, f in sorted(zip(X, F)):
-        if xs and x == xs[-1]:
-            fs[-1] = f
-        else:
-            xs.append(x)
-            fs.append(f)
-    j = max(range(len(fs)), key=fs.__getitem__)
-    near = [min(max(k, 0), len(xs) - 1) for k in range(j - 2, j + 3)]
-    return [xs[k] for k in near], [fs[k] for k in near]
-
-
-def max_f(a: float, b: float, d: complex, theta: float,
-          tol: float = 1e-9) -> float:
+def max_f(a: float, b: float, d: complex, theta: float) -> float:
     """Global maximum of f(r,t,beta) = |a r^2 e^{i beta} + 2 b r t
     + d t^2 e^{-i beta}| subject to r^4 + 2 r^2 t^2 cos(theta) + t^4 = 1.
 
+    With B = [[a, b], [b, d]], A = diag(1, e^{i theta}) and w = (r e^{i beta},
+    t), f = |w^T B w| and the constraint is |w* A w| = 1, so M is the
+    maximum of |w^T B w| over |w* A w| = 1.  It is computed as its convex
+    dual (Boyd & Vandenberghe, Convex Optimization, 3.2.3 and ch. 5).
+
+    Weak duality: for psi in (theta - pi/2, pi/2), D_psi = diag(cos psi,
+    cos(theta - psi)) is positive definite and Re(e^{-i psi} w* A w)
+    = w* D_psi w <= |w* A w|, so lambda(psi) = sigma_max(D_psi^{-1/2} B
+    D_psi^{-1/2}) >= M; every evaluation is a certified upper bound.
+    Convexity: lambda is the supremum over w of c_w / cos(psi - psi_w), with
+    c_w = |w^T B w| / |w* A w| and psi_w = arg(w* A w) in [0, theta], a
+    supremum of convex functions.  Strong duality: at an interior minimiser,
+    stationarity gives Im(e^{-i psi} w* A w) = 0 for the Takagi vector w
+    (Horn & Johnson, Matrix Analysis, 4.4), so inf lambda = M; the infimum
+    may lie at an end of the interval, as for (a, b, d) = (3, 0, 0) at
+    theta >= pi / 2.
+
+    Closed form: with c1 = cos psi, c2 = cos(theta - psi), x = a / c1,
+    y^2 = b^2 / (c1 c2) and z = d / c2, sigma_max^2 = (x^2 + 2 y^2 + |z|^2
+    + sqrt((x^2 - |z|^2)^2 + 4 y^2 |x + z|^2)) / 2, where no term cancels.
+    Parametrisation: psi = theta / 2 + u with U = atan2(cos(theta / 2),
+    sin(theta / 2)), c1 = sin(U - u) and c2 = sin(U + u), which are positive
+    and accurate to relative rounding for every |u| < U, even as theta
+    -> pi.  A golden-section search on (-U, U) runs until its new point is
+    no longer strictly inside the bracket, so it never evaluates an end,
+    where c1 or c2 is 0.
+
     f is homogeneous of degree 1 in (a, b, d), so they are divided by a
     power of two near their largest modulus, which is exact, and the result
-    is multiplied back.  The feasible (R, T) = (r^2, t^2) arc is
-    parametrized by the direction angle xi in [0, pi/2], and h(xi) is the
-    exact inner beta-maximum (`_arc_h`).  h is evaluated on a 600-point xi
-    grid in one batched call.  Each distinct local maximum of the grid, up
-    to _PEAKS of them and largest first, is bracketed by its two grid
-    neighbours, and the brackets are zoomed side by side.  Each step
-    evaluates h once on _ZOOM_POINTS evenly spaced points of a window in
-    every live bracket, then keeps the best point seen in the bracket and
-    the two cells around it.
-
-    The window is centred on the vertex of the parabola through the best
-    point and its nearest neighbours.  Its half-width is the distance from
-    there to the vertex through the next-nearest points.  At a smooth
-    maximum h is locally quadratic (a kink of h, a maximum of smooth
-    functions of xi, is a convex corner), and where h is cubic that
-    distance is at least three times the first vertex's error.  The window
-    is clipped to the bracket and never smaller than the size whose two
-    cells come a fifth under tol / 10.  When the best point lands on a
-    window edge inside the bracket, the maximum lies beyond the window, and
-    the next step spreads its points over the whole new bracket (Brent's
-    safeguard).  A bracket stops once its width in xi is at most tol / 10,
-    or once it no longer shrinks in floating point.  Every value is h at a
-    real xi, so the result never overestimates.  a, b and d must be finite,
-    and tol must be positive; a maximum beyond the float range raises
-    ValueError.
+    is multiplied back.  a, b and d must be finite; a maximum beyond the
+    float range raises ValueError.
     """
     d = complex(d)
     if not np.all(np.isfinite([a, b, d])):
@@ -285,39 +176,28 @@ def max_f(a: float, b: float, d: complex, theta: float,
         raise ValueError("a and b must be nonnegative")
     if not (0.0 <= theta < np.pi):
         raise ValueError("theta must lie in [0, pi)")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     k = math.frexp(max(a, b, abs(d.real), abs(d.imag)))[1]
     a, b = math.ldexp(a, -k), math.ldexp(b, -k)
     d = complex(math.ldexp(d.real, -k), math.ldexp(d.imag, -k))
-
-    n = 600
-    xs = np.linspace(0.0, np.pi / 2.0, n)
-    vals = _arc_h(xs, a, b, d, theta)
-    best = np.max(vals)
-    # a run of equal grid values is one local maximum, at its first point
-    rise = np.concatenate(([True], vals[1:] > vals[:-1]))
-    fall = np.concatenate((vals[:-1] >= vals[1:], [True]))
-    peaks = np.flatnonzero(rise & fall)
-    peaks = peaks[np.argsort(-vals[peaks], kind="stable")[:_PEAKS]]
-    near = np.clip(peaks[:, None] + np.arange(-2, 3), 0, n - 1)
-    live = [(x, f, True) for x, f in zip(xs[near].tolist(), vals[near].tolist())
-            if x[3] - x[1] > tol / 10.0]
-    frac = np.linspace(0.0, 1.0, _ZOOM_POINTS)
-    while live:
-        lo, hi = np.array([_window(*z, tol) for z in live]).T
-        pts = np.minimum(lo[:, None] + (hi - lo)[:, None] * frac, hi[:, None])
-        hv = _arc_h(pts, a, b, d, theta)
-        best = max(best, np.max(hv))
-        brackets, live = live, []
-        for (x, f, _), p, q, l, u in zip(brackets, pts.tolist(), hv.tolist(),
-                                         lo, hi):
-            x2, f2 = _around_best(p + x, q + f)
-            width = x2[3] - x2[1]
-            if tol / 10.0 < width < x[3] - x[1]:
-                live.append((x2, f2, l <= x2[1] and x2[3] <= u))
+    U = math.atan2(math.cos(theta / 2.0), math.sin(theta / 2.0))
+    lo, hi = -U, U
+    x1, x2 = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    f1, f2 = _sigma2(x1, U, a, b, d), _sigma2(x2, U, a, b, d)
+    while True:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INVPHI * (hi - lo)
+            if not lo < x1 < x2:
+                break
+            f1 = _sigma2(x1, U, a, b, d)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            if not x1 < x2 < hi:
+                break
+            f2 = _sigma2(x2, U, a, b, d)
     try:
-        return math.ldexp(float(best), k)
+        return math.ldexp(math.sqrt(min(f1, f2)), k)
     except OverflowError:
         raise ValueError("the maximum exceeds the float range") from None
 

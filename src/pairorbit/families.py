@@ -297,13 +297,10 @@ def family_of(a_family: str, b_form: str, **params) -> OrbitClass:
 
 
 def is_generic(cls: OrbitClass) -> bool:
-    """True exactly for the two 14-dimensional bundle families."""
-    if cls.key() == (StarTag.RECIPROCAL, "generic"):
-        return float(np.real(cls.params["b"])) > 0
-    if cls.key() == (StarTag.UNIMODULAR, "generic"):
-        return (float(np.real(cls.params["a"])) > 0
-                and float(np.real(cls.params["d"])) > 0)
-    return False
+    """True exactly for the two 14-dimensional bundle families
+    (`_check_ranges` already holds a, d > 0 and b > 0 there)."""
+    return cls.key() in ((StarTag.UNIMODULAR, "generic"),
+                         (StarTag.RECIPROCAL, "generic"))
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,15 @@ def _classify_b_indefinite(B1, tol, scale):
     return _reduce_indef_eigvec(B1, K, cls)
 
 
+def _require_frame(P, cls):
+    """Raise StabilizerSolveFailed when the reducer's frame P is singular."""
+    det = abs(np.linalg.det(P))
+    if det < 1e-12:
+        raise StabilizerSolveFailed(
+            f"singular reducer frame for family {cls.key()} "
+            f"(|det P| = {det:.3e})", np.inf)
+
+
 def _reduce_indef_eigvec(B1, K, cls):
     """Diagonal targets diag(x, y): columns of P are K-eigenvectors scaled to
     make P* J P = J and P^T B1 P the target.  When the eigenvector carrying
@@ -452,7 +461,9 @@ def _reduce_indef_eigvec(B1, K, cls):
         n1, n2 = n2, n1
         swap = True
     if not (n1 > 0 and n2 < 0):
-        return cls, _gel(1.0, np.eye(2))  # fallback: polish will take over
+        raise StabilizerSolveFailed(
+            f"no J-positive and J-negative K-eigenvector pair for family "
+            f"{cls.key()}", np.inf)
     want = [target[1, 1], target[0, 0]] if swap else \
         [target[0, 0], target[1, 1]]
     P = np.zeros((2, 2), dtype=complex)
@@ -468,8 +479,7 @@ def _reduce_indef_eigvec(B1, K, cls):
     if swap:
         P = P @ np.array([[0.0, 1.0], [1.0, 0.0]])
         c2 = -1.0
-    if abs(np.linalg.det(P)) < 1e-12:
-        P, c2 = np.eye(2, dtype=complex), 1.0
+    _require_frame(P, cls)
     return cls, _gel(c2, P)
 
 
@@ -583,8 +593,7 @@ def _reduce_indef_hside(B1, K, cls):
             y = -np.imag(g @ B2 @ g) / (2.0 * np.real(w12))
             g = g + 1j * y * v
         P = np.column_stack([v, g])
-        if abs(np.linalg.det(P)) < 1e-12:
-            P, c2 = np.eye(2, dtype=complex), 1.0
+        _require_frame(P, cls)
     return cls, _gel(c2, _QJH @ P)
 
 

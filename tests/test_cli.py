@@ -94,6 +94,15 @@ def test_maxf_out_of_domain_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_maxf_near_pi(capsys):
+    # theta = pi - 1e-9; M = 3751294020.1643 is the value of f at a feasible
+    # point found by an independent profile search
+    code, out, err = run(capsys, "maxf", "--a", "0.7", "--b", "1.1",
+                         "--d", "0.3-1i", "--theta", "3.141592652589793")
+    assert code == 0 and err == ""
+    assert abs(float(out) - 3751294020.1643) <= 1e-12 * 3751294020.1643
+
+
 def test_maxf_large_finite_scale(capsys):
     code, out, err = run(capsys, "maxf", "--a", "1e155", "--b", "1e155",
                          "--d", "1e155", "--theta", "1")

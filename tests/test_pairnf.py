@@ -338,3 +338,20 @@ def test_fallback_polish_reaches_the_representative(monkeypatch):
     assert len(calls) == 1
     assert out.cls.key() == (T.RECIPROCAL, "generic")
     assert out.residual <= 1e-8
+
+
+def test_indefinite_reducer_without_a_j_frame_raises():
+    # both K-eigenvectors (1, +-0.1) are J-positive, so no frame with
+    # P* J P = J exists; the reducer says so instead of handing on I
+    V = np.array([[1.0, 1.0], [0.1, -0.1]], dtype=complex)
+    K = V @ np.diag([1.0, 2.0]) @ np.linalg.inv(V)
+    cls = family_of(T.INDEFINITE, "a_lt_d", a=1.0, d=2.0)
+    with pytest.raises(pn.StabilizerSolveFailed, match="J-negative"):
+        pn._reduce_indef_eigvec(np.eye(2, dtype=complex), K, cls)
+
+
+def test_singular_reducer_frame_raises():
+    cls = family_of(T.INDEFINITE, "a_lt_d", a=1.0, d=2.0)
+    pn._require_frame(np.eye(2), cls)
+    with pytest.raises(pn.StabilizerSolveFailed, match="singular"):
+        pn._require_frame(np.array([[1.0, 2.0], [0.5, 1.0]]), cls)
